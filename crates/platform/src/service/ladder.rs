@@ -12,6 +12,8 @@ use std::time::Duration;
 
 use vlp_core::{Mechanism, QualityTier};
 
+use super::metrics;
+
 /// The per-shard circuit-breaker state (ladder rung 2).
 ///
 /// ```text
@@ -170,13 +172,43 @@ pub(crate) struct CachedSolve {
 }
 
 /// What happened to one distinct cache-miss `(shard, ε-bucket)` key.
-/// `Solved`/`Failed` carry `(elapsed, retries, panics-caught)` from the
-/// solver worker; `Blackout` and `Shed` never reached a queue.
+/// `Solved`/`Failed` come back from a solver worker; `Blackout` and
+/// `Shed` are admission refusals that never reached a queue.
 pub(crate) enum MissOutcome {
-    Solved(CachedSolve, Duration, u32, u32),
-    Failed(Duration, u32, u32),
+    /// The solve succeeded under instance generation `gen`.
+    Solved {
+        solve: CachedSolve,
+        gen: u64,
+        attempts: Attempts,
+    },
+    /// Every attempt failed or panicked.
+    Failed(Attempts),
+    /// The shard is blacked out this epoch: the miss fails unattempted.
     Blackout,
+    /// The breaker refused the solve (open, or half-open with this
+    /// epoch's probe already taken).
     Shed,
+}
+
+/// A solver worker's record of one queued solve: wall time across all
+/// attempts, attempts beyond the first, and panics caught.
+pub(crate) struct Attempts {
+    pub(crate) elapsed: Duration,
+    pub(crate) retries: u32,
+    pub(crate) panics: u32,
+}
+
+impl Attempts {
+    /// Records the solve time and the retry and panic counts.
+    pub(crate) fn record(&self, obs: &vlp_obs::Registry) {
+        obs.record_duration(metrics::SOLVE_TIME, self.elapsed);
+        if self.retries > 0 {
+            obs.incr(metrics::RETRY_ATTEMPTS, u64::from(self.retries));
+        }
+        if self.panics > 0 {
+            obs.incr(metrics::PANICS_CAUGHT, u64::from(self.panics));
+        }
+    }
 }
 
 /// The failpoint evaluation key for one solve attempt: a pure mix of
