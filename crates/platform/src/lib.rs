@@ -15,58 +15,58 @@
 //!   task instantly upon assignment, and return to `available` after
 //!   completion.
 //!
-//! [`Simulation`] wires both sides over a road network with
-//! trace-driven worker motion and reports end-to-end metrics (true
-//! travel distance of assignments, completion counts, mechanism
+//! The server is a [`MechanismService`]: it shards the map into
+//! regions, caches solved mechanisms per `(shard, ε-bucket)` in a
+//! bounded LRU, serves under a solve deadline with a
+//! privacy-preserving graph-Laplace fallback, and assigns tasks at
+//! snapshots — see [`service`]. The service also climbs a *resilience
+//! ladder* (retry → circuit breaker → stale serving → fallback) under
+//! injected faults, degrading utility but never the ε-Geo-I guarantee;
+//! `OPERATIONS.md` is the runbook.
+//!
+//! [`Simulation`] wires both sides over a road network, with a
+//! one-shard service as the single-region server, trace-driven worker
+//! motion, and the prior-drift refresh; it reports end-to-end metrics
+//! (true travel distance of assignments, completion counts, mechanism
 //! refreshes). Every piece of the workspace participates: `roadnet`
 //! supplies the map, `mobility` the motion, `vlp-core` the mechanism,
 //! `assignment` the matching.
 //!
-//! For city-scale serving, [`MechanismService`] shards the map into
-//! regions, caches solved mechanisms per `(shard, ε-bucket)` in a
-//! bounded LRU, and serves under a solve deadline with a
-//! privacy-preserving graph-Laplace fallback — see [`service`]. The
-//! service also climbs a *resilience ladder* (retry → circuit breaker →
-//! stale serving → fallback) under injected faults, degrading utility
-//! but never the ε-Geo-I guarantee; `OPERATIONS.md` is the runbook.
-//!
 //! # Example
 //!
 //! ```
-//! use platform::{Server, ServerConfig, Simulation, SimulationConfig};
+//! use platform::{ServiceConfig, Simulation, SimulationConfig};
 //! use roadnet::generators;
 //!
 //! let graph = generators::grid(3, 3, 0.4, true);
-//! let server = Server::bootstrap(graph, ServerConfig {
+//! let service = ServiceConfig {
 //!     delta: 0.2,
-//!     epsilon: 5.0,
-//!     ..ServerConfig::default()
-//! })?;
-//! let mut sim = Simulation::new(server, SimulationConfig {
+//!     ..ServiceConfig::default()
+//! };
+//! let mut sim = Simulation::new(graph, service, SimulationConfig {
 //!     n_workers: 4,
+//!     epsilon: 5.0,
 //!     ..SimulationConfig::default()
 //! }, 7);
 //! let report = sim.run(40);
 //! assert!(report.completed_tasks > 0);
-//! # Ok::<(), vlp_core::VlpError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod server;
 pub mod service;
 mod simulation;
+mod snapshot;
 mod worker;
 
-pub use server::metrics;
-pub use server::{Server, ServerConfig, SnapshotOutcome};
 pub use service::{
     BreakerState, LocalConfig, MechanismService, Obfuscation, ResilienceConfig, Response, Served,
     ServiceConfig, ServiceHandle, ServiceHealth, ShardHealth, ShutdownReport, TierPolicy,
     TraceBudgetConfig, VelocityEpsilon,
 };
 pub use simulation::{Simulation, SimulationConfig, SimulationReport};
+pub use snapshot::{metrics, SnapshotOutcome};
 pub use worker::{Worker, WorkerId, WorkerStatus};
 
 /// Identifier of a published task.

@@ -269,14 +269,11 @@ impl Partition {
     /// Translates an on-edge location into its owning shard's
     /// coordinates. Returns `None` when the location lies on a dropped
     /// cross-boundary segment (use [`Self::shard_of_edge`] to pick the
-    /// home shard and snap to one of its intervals instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the location's edge is not part of the partitioned
-    /// graph.
+    /// home shard and snap to one of its intervals instead) or its edge
+    /// is not part of the partitioned graph. The offset is carried over
+    /// unchecked.
     pub fn to_local(&self, p: Location) -> Option<(usize, Location)> {
-        let (shard, local_edge) = self.edge_map[p.edge().index()]?;
+        let (shard, local_edge) = (*self.edge_map.get(p.edge().index())?)?;
         Some((shard, Location::new(local_edge, p.to_end())))
     }
 
@@ -457,6 +454,18 @@ mod tests {
         assert!(intact > 0);
         assert!(!p.cross_edges().is_empty(), "a 2-band grid must be cut");
         assert_eq!(intact + p.cross_edges().len(), g.edge_count());
+    }
+
+    #[test]
+    fn unknown_edges_map_to_no_shard() {
+        let g = generators::grid(3, 3, 0.4, true);
+        let p = Partition::by_bands(&g, 1);
+        let past_the_end = EdgeId(g.edge_count());
+        assert_eq!(p.to_local(Location::new(past_the_end, 0.1)), None);
+        assert_eq!(p.to_local(Location::new(EdgeId(usize::MAX), 0.0)), None);
+        // The last real edge still maps.
+        let last = EdgeId(g.edge_count() - 1);
+        assert!(p.to_local(Location::new(last, 0.1)).is_some());
     }
 
     #[test]

@@ -7,41 +7,37 @@
 //! cargo run --release -p vlp-bench --example platform_lifecycle
 //! ```
 
-use platform::{Server, ServerConfig, Simulation, SimulationConfig};
+use platform::{ServiceConfig, Simulation, SimulationConfig};
 use roadnet::generators;
 
-fn main() -> Result<(), vlp_core::VlpError> {
+fn main() {
     let graph = generators::downtown(3, 3, 0.3);
     println!(
         "booting server on a {}-segment downtown map",
         graph.edge_count()
     );
-    let server = Server::bootstrap(
-        graph,
-        ServerConfig {
-            delta: 0.15,
-            epsilon: 5.0,
-            refresh_min_reports: 60,
-            refresh_tv_threshold: 0.15,
-            ..ServerConfig::default()
-        },
-    )?;
-    println!(
-        "mechanism epoch {} ready: expected quality loss {:.4} km",
-        server.epoch(),
-        server.quality_loss()
-    );
-
     let mut sim = Simulation::new(
-        server,
+        graph,
+        ServiceConfig {
+            delta: 0.15,
+            ..ServiceConfig::default()
+        },
         SimulationConfig {
             n_workers: 8,
             snapshot_every: 2,
             task_rate: 0.7,
+            epsilon: 5.0,
+            refresh_min_reports: 60,
+            refresh_tv_threshold: 0.15,
             ..SimulationConfig::default()
         },
         2024,
     );
+    let quality_loss = sim
+        .service()
+        .cached_quality_loss(0, 5.0)
+        .expect("the boot solve is cached");
+    println!("mechanism ready: expected quality loss {quality_loss:.4} km");
     let report = sim.run(120);
 
     println!("\nafter 120 ticks:");
@@ -62,5 +58,4 @@ fn main() -> Result<(), vlp_core::VlpError> {
         "\nThe server never observed a true location; every assignment was\n\
          computed from geo-indistinguishable reports."
     );
-    Ok(())
 }
