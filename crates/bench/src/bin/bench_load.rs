@@ -44,8 +44,8 @@ use platform::{service, MechanismService, Response, Served, ServiceConfig, Worke
 use rand::{RngExt, SeedableRng};
 use roadnet::{generators, Location};
 use serde_json::Value;
-use vlp_bench::scenarios::{pace_until, percentile, shard_locations, zipf_cdf, zipf_rank};
-use vlp_core::privacy;
+use vlp_bench::artifact;
+use vlp_bench::scenarios::{self, pace_until, percentile, shard_locations, zipf_cdf, zipf_rank};
 
 /// Seed shared by every stochastic component of the scenario.
 const SEED: u64 = 20_260_807;
@@ -181,16 +181,7 @@ fn run_load(rate: f64, requests: usize) -> Value {
     // Audit every mechanism the service holds — cached optima and
     // fallbacks alike — against the full (unreduced) Geo-I constraint
     // set at its canonical ε.
-    let mut audited = 0u64;
-    for (s, canonical, mech) in svc.live_mechanisms() {
-        let inst = svc.shard_instance(s);
-        let spec = vlp_core::PrivacySpec::full(&inst.aux, canonical, f64::INFINITY);
-        assert!(
-            privacy::verify(&mech, &spec, 1e-6),
-            "live mechanism for shard {s} at ε={canonical} violates Geo-I"
-        );
-        audited += 1;
-    }
+    let audited = scenarios::audit_live(&svc, "bench_load");
     obs.incr("bench_load.privacy_audits", audited);
 
     // Wall-clock results: percentiles from the scheduled arrival, plus
@@ -213,29 +204,9 @@ fn run_load(rate: f64, requests: usize) -> Value {
     obs.snapshot()
 }
 
-/// The deterministic projection of a snapshot: everything except the
-/// `timers` section and the `bench_load.wall.*` series, both of which
-/// legitimately vary between runs.
-fn deterministic(snapshot: &Value) -> Value {
-    let mut doc = snapshot.clone();
-    if let Some(map) = doc.as_object_mut() {
-        map.remove("timers");
-        if let Some(mut series) = map.remove("series") {
-            if let Some(obj) = series.as_object_mut() {
-                let wall: Vec<String> = obj
-                    .keys()
-                    .filter(|name| name.starts_with("bench_load.wall."))
-                    .cloned()
-                    .collect();
-                for name in wall {
-                    obj.remove(&name);
-                }
-            }
-            map.insert("series".into(), series);
-        }
-    }
-    doc
-}
+/// Series left out of the `--check` comparison: the wall-clock
+/// `bench_load.wall.*` series legitimately vary between runs.
+const UNSTABLE_SERIES: [&str; 1] = ["bench_load.wall."];
 
 /// Asserts the signals CI gates on; returns an error message naming
 /// the first violated gate. Speed never appears here.
@@ -329,41 +300,15 @@ fn main() {
         }
     }
 
-    let snapshot = run_load(rate, requests);
-    if let Err(e) = check_signals(&snapshot) {
-        eprintln!("bench_load: FAIL — {e}");
-        std::process::exit(1);
-    }
+    let (snapshot, ()) = artifact::gated_runs(
+        "bench_load",
+        check,
+        &UNSTABLE_SERIES,
+        || (run_load(rate, requests), ()),
+        |snapshot, ()| check_signals(snapshot),
+    );
 
-    if check {
-        let second = run_load(rate, requests);
-        if let Err(e) = check_signals(&second) {
-            eprintln!("bench_load: FAIL (second run) — {e}");
-            std::process::exit(1);
-        }
-        if deterministic(&snapshot) != deterministic(&second) {
-            eprintln!("bench_load: FAIL — deterministic fields differ between same-seed runs");
-            eprintln!(
-                "first:  {}",
-                serde_json::to_string(&deterministic(&snapshot)).unwrap()
-            );
-            eprintln!(
-                "second: {}",
-                serde_json::to_string(&deterministic(&second)).unwrap()
-            );
-            std::process::exit(1);
-        }
-        println!("determinism check: deterministic fields identical across two runs");
-    }
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    let mut doc = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
-    doc.push('\n');
-    std::fs::write(&out, doc).expect("write artifact");
+    artifact::write(&out, &snapshot);
 
     let p50 = snapshot["series"]["bench_load.wall.p50_us"][0]
         .as_f64()

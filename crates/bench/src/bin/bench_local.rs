@@ -41,8 +41,8 @@ use platform::{LocalConfig, MechanismService, Served, ServiceConfig, WorkerId};
 use rand::SeedableRng;
 use roadnet::generators;
 use serde_json::Value;
-use vlp_bench::scenarios::fleet_locations;
-use vlp_core::privacy;
+use vlp_bench::artifact;
+use vlp_bench::scenarios::{self, fleet_locations};
 
 /// Seed shared by every stochastic component of the scenario.
 const SEED: u64 = 20_260_807;
@@ -157,21 +157,14 @@ fn run_scale(name: &'static str, nx: usize, ny: usize) -> ScaleReport {
         k_map += k_shard;
         full_lp_vars = full_lp_vars.max(k_shard * k_shard);
     }
-    let mut max_lp_vars = 0u64;
-    let mut audited = 0u64;
-    for (s, nb, canonical, mech) in svc.live_mechanisms_keyed() {
-        let k = mech.len() as u64;
-        max_lp_vars = max_lp_vars.max(k * k);
-        let shard = svc.local_shard(s).expect("service runs in local mode");
-        let spec = shard.audit_spec(nb, canonical);
-        assert!(
-            privacy::verify(&mech, &spec, 1e-6),
-            "{name}: shard {s} neighborhood {nb} mechanism at ε={canonical} \
-             violates its restricted Geo-I spec"
-        );
-        audited += 1;
-    }
+    let audited = scenarios::audit_live(&svc, name);
     assert!(audited > 0, "{name}: audit ran over zero mechanisms");
+    let max_lp_vars = svc
+        .live_mechanisms_keyed()
+        .iter()
+        .map(|(.., mech)| (mech.len() as u64).pow(2))
+        .max()
+        .unwrap_or(0);
     obs.incr("bench_local.privacy_audits", audited);
     obs.push(&format!("bench_local.{name}.k_map"), k_map as f64);
     obs.push(
@@ -212,32 +205,13 @@ fn run_suite() -> (Value, Vec<ScaleReport>) {
     (obs.snapshot(), reports)
 }
 
-/// The deterministic projection of a snapshot: everything except the
-/// `timers` section, the `bench_local.wall.*` series, and the `cg.*`
-/// per-iteration traces. The traces are flushed as one block per solve
-/// by concurrent solver workers, so the *values* are deterministic but
-/// the block order is thread-scheduling-dependent; the commutative
-/// `cg.*` counters stay in the projection and pin the same work.
-fn deterministic(snapshot: &Value) -> Value {
-    let mut doc = snapshot.clone();
-    if let Some(map) = doc.as_object_mut() {
-        map.remove("timers");
-        if let Some(mut series) = map.remove("series") {
-            if let Some(obj) = series.as_object_mut() {
-                let unstable: Vec<String> = obj
-                    .keys()
-                    .filter(|name| name.starts_with("bench_local.wall.") || name.starts_with("cg."))
-                    .cloned()
-                    .collect();
-                for name in unstable {
-                    obj.remove(&name);
-                }
-            }
-            map.insert("series".into(), series);
-        }
-    }
-    doc
-}
+/// Series left out of the `--check` comparison: the wall-clock
+/// `bench_local.wall.*` series, and the `cg.*` per-iteration traces.
+/// The traces are flushed as one block per solve by concurrent solver
+/// workers, so the *values* are deterministic but the block order is
+/// thread-scheduling-dependent; the commutative `cg.*` counters stay in
+/// the comparison and pin the same work.
+const UNSTABLE_SERIES: [&str; 2] = ["bench_local.wall.", "cg."];
 
 /// The structural gates; returns an error naming the first violation.
 fn check_gates(snapshot: &Value, reports: &[ScaleReport]) -> Result<(), String> {
@@ -299,33 +273,15 @@ fn main() {
         }
     }
 
-    let (snapshot, reports) = run_suite();
-    if let Err(e) = check_gates(&snapshot, &reports) {
-        eprintln!("bench_local: FAIL — {e}");
-        std::process::exit(1);
-    }
+    let (snapshot, reports) = artifact::gated_runs(
+        "bench_local",
+        check,
+        &UNSTABLE_SERIES,
+        run_suite,
+        |snapshot, reports| check_gates(snapshot, reports),
+    );
 
-    if check {
-        let (second, second_reports) = run_suite();
-        if let Err(e) = check_gates(&second, &second_reports) {
-            eprintln!("bench_local: FAIL (second run) — {e}");
-            std::process::exit(1);
-        }
-        if deterministic(&snapshot) != deterministic(&second) {
-            eprintln!("bench_local: FAIL — deterministic fields differ between same-seed runs");
-            std::process::exit(1);
-        }
-        println!("determinism check: deterministic fields identical across two runs");
-    }
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    let mut doc = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
-    doc.push('\n');
-    std::fs::write(&out, doc).expect("write artifact");
+    artifact::write(&out, &snapshot);
 
     println!(
         "bench_local: OK — flat-curve gate over {} scales:",

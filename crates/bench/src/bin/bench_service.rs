@@ -236,14 +236,7 @@ fn main() {
         eprintln!("bench_service: FAIL — invalid snapshot: {e}");
         std::process::exit(1);
     }
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    let mut doc = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
-    doc.push('\n');
-    std::fs::write(&out, doc).expect("write artifact");
+    vlp_bench::artifact::write(&out, &snapshot);
 
     if hit_rate < HIT_RATE_FLOOR {
         eprintln!(

@@ -56,6 +56,7 @@ use platform::{
 use rand::SeedableRng;
 use roadnet::generators;
 use serde_json::Value;
+use vlp_bench::artifact;
 use vlp_bench::scenarios::{cg_options, DEFAULT_XI};
 use vlp_bench::streams::{subsample_stream, trip_stream, TraceReport};
 use vlp_core::{privacy, Mechanism, Prior, QualityTier};
@@ -456,30 +457,11 @@ fn run_suite() -> (Value, Vec<RegimeReport>) {
     (obs.snapshot(), reports)
 }
 
-/// The deterministic projection of a snapshot: everything except the
-/// `timers` section and the `cg.*` per-iteration traces (flushed as
-/// one block per solve by solver workers, so block order is
-/// thread-scheduling-dependent; the commutative `cg.*` counters stay).
-fn deterministic(snapshot: &Value) -> Value {
-    let mut doc = snapshot.clone();
-    if let Some(map) = doc.as_object_mut() {
-        map.remove("timers");
-        if let Some(mut series) = map.remove("series") {
-            if let Some(obj) = series.as_object_mut() {
-                let unstable: Vec<String> = obj
-                    .keys()
-                    .filter(|name| name.starts_with("cg."))
-                    .cloned()
-                    .collect();
-                for name in unstable {
-                    obj.remove(&name);
-                }
-            }
-            map.insert("series".into(), series);
-        }
-    }
-    doc
-}
+/// Series left out of the `--check` comparison: the `cg.*`
+/// per-iteration traces, flushed as one block per solve by solver
+/// workers, so block order is thread-scheduling-dependent (the
+/// commutative `cg.*` counters stay in).
+const UNSTABLE_SERIES: [&str; 1] = ["cg."];
 
 /// The structural gates; returns an error naming the first violation.
 fn check_gates(snapshot: &Value, reports: &[RegimeReport]) -> Result<(), String> {
@@ -543,33 +525,15 @@ fn main() {
         }
     }
 
-    let (snapshot, reports) = run_suite();
-    if let Err(e) = check_gates(&snapshot, &reports) {
-        eprintln!("bench_traces: FAIL — {e}");
-        std::process::exit(1);
-    }
+    let (snapshot, reports) = artifact::gated_runs(
+        "bench_traces",
+        check,
+        &UNSTABLE_SERIES,
+        run_suite,
+        |snapshot, reports| check_gates(snapshot, reports),
+    );
 
-    if check {
-        let (second, second_reports) = run_suite();
-        if let Err(e) = check_gates(&second, &second_reports) {
-            eprintln!("bench_traces: FAIL (second run) — {e}");
-            std::process::exit(1);
-        }
-        if deterministic(&snapshot) != deterministic(&second) {
-            eprintln!("bench_traces: FAIL — deterministic fields differ between same-seed runs");
-            std::process::exit(1);
-        }
-        println!("determinism check: deterministic fields identical across two runs");
-    }
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    let mut doc = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
-    doc.push('\n');
-    std::fs::write(&out, doc).expect("write artifact");
+    artifact::write(&out, &snapshot);
 
     println!(
         "bench_traces: OK — adversary evaluation over {} regimes:",

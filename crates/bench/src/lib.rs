@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod artifact;
 pub mod report;
 pub mod scenarios;
 pub mod streams;

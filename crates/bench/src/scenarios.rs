@@ -1,5 +1,6 @@
 //! Shared scenario builders: maps, fleets, instances, and metrics.
 
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use adversary::bayes;
@@ -7,7 +8,57 @@ use mobility::{estimate_prior, generate_fleet, TraceConfig, VehicleTrace};
 use platform::MechanismService;
 use roadnet::{generators, EdgeId, Location, RoadGraph};
 use vlp_core::baseline::two_d;
-use vlp_core::{CgDiagnostics, CgOptions, Discretization, Mechanism, Prior, VlpInstance};
+use vlp_core::{
+    privacy, CgDiagnostics, CgOptions, Discretization, Mechanism, Prior, PrivacySpec, VlpInstance,
+};
+
+/// Keeps the default panic report of injected chaos panics (payloads
+/// containing `chaos:`) off the console, so real panics stand out.
+/// Injected pricing panics unwind through the solver workers'
+/// `catch_unwind` by design. Installs the hook once per process.
+pub fn quiet_chaos_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if msg.is_some_and(|m| m.contains("chaos:")) {
+                return;
+            }
+            default_hook(info);
+        }));
+    });
+}
+
+/// The privacy audit of a service's live state: every mechanism it can
+/// serve from — cached optima at any quality tier, stale entries,
+/// fallbacks — passes `privacy::verify` against its Geo-I constraint
+/// set at its canonical ε. In full-shard mode that is the whole-shard
+/// spec; in locally-relevant mode, the neighborhood's unreduced
+/// restricted spec (full-graph `d_min` exponents over the neighborhood
+/// support). Returns the number of mechanisms audited.
+///
+/// # Panics
+///
+/// Panics, naming `when`, on the first mechanism that fails.
+pub fn audit_live(svc: &MechanismService, when: &str) -> u64 {
+    let live = svc.live_mechanisms_keyed();
+    for (s, nb, eps, mechanism) in &live {
+        let spec = match svc.local_shard(*s) {
+            Some(shard) => shard.audit_spec(*nb, *eps),
+            None => PrivacySpec::full(&svc.shard_instance(*s).aux, *eps, f64::INFINITY),
+        };
+        assert!(
+            privacy::verify(mechanism, &spec, 1e-6),
+            "{when}: shard {s} neighborhood {nb} mechanism at ε={eps} violates Geo-I"
+        );
+    }
+    live.len() as u64
+}
 
 /// Smoothing mass used when histogramming traces into priors.
 pub const PRIOR_SMOOTHING: f64 = 0.1;

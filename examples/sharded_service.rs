@@ -72,8 +72,8 @@ fn main() {
                 o.worker.0, o.shard, o.interval, o.epsilon, o.served
             );
         }
-        // The obfuscated reports drive the same Hungarian snapshot
-        // path the single-region server uses, per shard.
+        // The obfuscated reports drive Hungarian task assignment,
+        // one snapshot per shard.
         for (s, _) in &locations {
             svc.publish_task(*s, 0);
         }

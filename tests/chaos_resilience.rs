@@ -5,7 +5,6 @@
 //! to one with no chaos configured at all.
 
 use std::collections::HashMap;
-use std::sync::Once;
 use std::time::Duration;
 
 use platform::{MechanismService, ResilienceConfig, ServiceConfig, WorkerId};
@@ -14,26 +13,6 @@ use rand::SeedableRng;
 use roadnet::{generators, Location};
 use vlp_core::privacy;
 use vlp_obs::failpoint::{site, FaultMode, FaultPlan};
-
-/// Injected pricing panics unwind through `catch_unwind` by design;
-/// silence their default report so real failures stay visible.
-fn quiet_chaos_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            if msg.is_some_and(|m| m.contains("chaos:")) {
-                return;
-            }
-            default_hook(info);
-        }));
-    });
-}
 
 fn service(chaos: FaultPlan) -> MechanismService {
     MechanismService::new(
@@ -95,7 +74,7 @@ proptest! {
         storm_every in 0u64..4,
         jitter_every in 0u64..4,
     ) {
-        quiet_chaos_panics();
+        vlp_bench::scenarios::quiet_chaos_panics();
         let plan = FaultPlan::new(plan_seed)
             .with(site::LP_SOLVE, FaultMode::Ratio(p_solve))
             .with(site::LP_RESOLVE, FaultMode::Ratio(p_resolve))
