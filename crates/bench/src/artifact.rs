@@ -6,17 +6,27 @@ use serde_json::Value;
 
 /// The deterministic projection of a telemetry snapshot: everything but
 /// the `timers` section (wall-clock) and the series whose names start
-/// with one of `unstable` (e.g. wall-clock percentiles, or `cg.*`
-/// series whose order follows worker scheduling).
-pub fn deterministic(snapshot: &Value, unstable: &[&str]) -> Value {
+/// with one of `unstable` (e.g. wall-clock percentiles). Series whose
+/// names start with one of `unordered` are kept as sorted lists: every
+/// value is still pinned, but not the order in which concurrent solver
+/// workers recorded them (e.g. the `cg.*` series).
+pub fn deterministic(snapshot: &Value, unstable: &[&str], unordered: &[&str]) -> Value {
+    let matches = |name: &str, prefixes: &[&str]| prefixes.iter().any(|p| name.starts_with(p));
+    let number = |v: &Value| v.as_f64().unwrap_or(f64::NAN);
     let mut doc = snapshot.clone();
     if let Some(map) = doc.as_object_mut() {
         map.remove("timers");
         if let Some(Value::Object(series)) = map.remove("series") {
             let kept = series
                 .iter()
-                .filter(|(name, _)| !unstable.iter().any(|p| name.starts_with(p)))
-                .map(|(name, values)| (name.clone(), values.clone()))
+                .filter(|(name, _)| !matches(name, unstable))
+                .map(|(name, values)| {
+                    let mut values = values.clone();
+                    if let (true, Value::Array(list)) = (matches(name, unordered), &mut values) {
+                        list.sort_by(|a, b| number(a).total_cmp(&number(b)));
+                    }
+                    (name.clone(), values)
+                })
                 .collect();
             map.insert("series".into(), Value::Object(kept));
         }
@@ -34,6 +44,7 @@ pub fn gated_runs<T>(
     bin: &str,
     twice: bool,
     unstable: &[&str],
+    unordered: &[&str],
     run: impl Fn() -> (Value, T),
     gates: impl Fn(&Value, &T) -> Result<(), String>,
 ) -> (Value, T) {
@@ -49,8 +60,8 @@ pub fn gated_runs<T>(
         let second = run();
         gate(&second, " (second run)");
         let (a, b) = (
-            deterministic(&first.0, unstable),
-            deterministic(&second.0, unstable),
+            deterministic(&first.0, unstable, unordered),
+            deterministic(&second.0, unstable, unordered),
         );
         if a != b {
             eprintln!("{bin}: FAIL — deterministic fields differ between same-seed runs");
@@ -91,12 +102,29 @@ mod tests {
             "series": {"cg.x": [1.0], "keep": [2.0]},
             "timers": {"t": {"count": 1}},
         });
-        let doc = deterministic(&snapshot, &["cg."]);
+        let doc = deterministic(&snapshot, &["cg."], &[]);
         assert_eq!(
             doc,
             serde_json::json!({"counters": {"a": 1}, "series": {"keep": [2.0]}})
         );
         // With no unstable prefixes only the timers go.
-        assert_eq!(deterministic(&snapshot, &[])["series"], snapshot["series"]);
+        assert_eq!(
+            deterministic(&snapshot, &[], &[])["series"],
+            snapshot["series"]
+        );
+    }
+
+    #[test]
+    fn unordered_series_compare_as_sorted_lists() {
+        let run = |cg: [f64; 3], keep: [f64; 2]| serde_json::json!({"series": {"cg.x": cg, "keep": keep}});
+        let project = |doc: &Value| deterministic(doc, &[], &["cg."]);
+        // Another arrival order of the same values projects the same...
+        let a = run([3.0, 1.0, 2.0], [1.0, 2.0]);
+        let b = run([1.0, 2.0, 3.0], [1.0, 2.0]);
+        assert_eq!(project(&a), project(&b));
+        // ...but every value is still pinned, and other series keep
+        // their order.
+        assert_ne!(project(&a), project(&run([3.0, 1.0, 4.0], [1.0, 2.0])));
+        assert_ne!(project(&a), project(&run([3.0, 1.0, 2.0], [2.0, 1.0])));
     }
 }

@@ -18,8 +18,8 @@
 //!   `K` grows by more than [`GROWTH_FLOOR`]× from the smallest to the
 //!   largest scale. Solve cost tracks the ρ + r reach ball, not the
 //!   map.
-//! * **Separation** — at the top scale the *full-shard* LP the classic
-//!   engine would have solved (`K_shard²` variables, computed, never
+//! * **Separation** — at the top scale the *full-shard* LP full mode
+//!   would have solved (`K_shard²` variables, computed, never
 //!   solved) exceeds the budget by at least [`CONTRAST_FLOOR`]×: the
 //!   flat curve is a property of the restriction, not of small maps.
 //! * **Privacy** — every mechanism the service can serve from passes
@@ -97,8 +97,8 @@ struct ScaleReport {
     k_map: u64,
     /// Largest restricted-LP variable count served at this scale.
     max_lp_vars: u64,
-    /// Largest full-shard LP variable count the classic engine would
-    /// have needed (`max_s K_s²`) — computed, never solved.
+    /// Largest full-shard LP variable count full mode would have
+    /// needed (`max_s K_s²`) — computed, never solved.
     full_lp_vars: u64,
 }
 
@@ -277,6 +277,7 @@ fn main() {
         "bench_local",
         check,
         &UNSTABLE_SERIES,
+        &[],
         run_suite,
         |snapshot, reports| check_gates(snapshot, reports),
     );

@@ -151,6 +151,7 @@ fn main() {
         "bench_smoke",
         check,
         &[],
+        &[],
         || (run_pipeline(), ()),
         |snapshot, ()| check_signals(snapshot),
     );

@@ -529,6 +529,7 @@ fn main() {
         "bench_traces",
         check,
         &UNSTABLE_SERIES,
+        &[],
         run_suite,
         |snapshot, reports| check_gates(snapshot, reports),
     );

@@ -68,8 +68,25 @@ impl VlpInstance {
     /// Panics if the priors' dimension differs from the number of
     /// intervals produced by discretizing at `delta`.
     pub fn new(graph: RoadGraph, delta: f64, f_p: Prior, f_q: Prior) -> Self {
-        let node_dists = NodeDistances::all_pairs(&graph);
         let disc = Discretization::new(&graph, delta);
+        Self::with_disc(graph, disc, f_p, f_q)
+    }
+
+    /// Builds an instance with uniform worker and task priors.
+    pub fn uniform(graph: RoadGraph, delta: f64) -> Self {
+        let disc = Discretization::new(&graph, delta);
+        let prior = Prior::uniform(disc.len());
+        Self::with_disc(graph, disc, prior.clone(), prior)
+    }
+
+    /// [`Self::new`] on a discretization of `graph` built by the caller.
+    pub(crate) fn with_disc(
+        graph: RoadGraph,
+        disc: Discretization,
+        f_p: Prior,
+        f_q: Prior,
+    ) -> Self {
+        let node_dists = NodeDistances::all_pairs(&graph);
         assert_eq!(f_p.len(), disc.len(), "f_P dimension mismatch");
         assert_eq!(f_q.len(), disc.len(), "f_Q dimension mismatch");
         let aux = AuxiliaryGraph::build(&graph, &disc);
@@ -85,13 +102,6 @@ impl VlpInstance {
             f_q,
             cost,
         }
-    }
-
-    /// Builds an instance with uniform worker and task priors.
-    pub fn uniform(graph: RoadGraph, delta: f64) -> Self {
-        let disc = Discretization::new(&graph, delta);
-        let k = disc.len();
-        Self::new(graph, delta, Prior::uniform(k), Prior::uniform(k))
     }
 
     /// Number of intervals `K`.

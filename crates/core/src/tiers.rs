@@ -519,9 +519,8 @@ impl crate::local::LocalShard {
     ) -> Result<LocalSolve, VlpError> {
         let members = self.members(nb);
         let tier = if members.len() == self.len() {
-            let dense = self.dense();
-            let spec = PrivacySpec::full(&dense.aux, epsilon, self.plan().protection());
-            clustered_mechanism(&dense.cost, &spec, width, opts)?
+            self.dense()
+                .solve_clustered(epsilon, self.plan().protection(), width, opts)?
         } else {
             let cost = self.restricted_member_cost(members);
             let spec = self.audit_spec(nb, epsilon);
@@ -546,10 +545,10 @@ impl crate::local::LocalShard {
         opts: &CgOptions,
     ) -> Result<LocalSolve, VlpError> {
         let members = self.members(nb);
-        let d_hat = support_d_hat(self.aux_graph(), members);
         let tier = if members.len() == self.len() {
-            spanner_mechanism(&self.dense().cost, &d_hat, epsilon, stretch, opts)?
+            self.dense().solve_spanner(epsilon, stretch, opts)?
         } else {
+            let d_hat = support_d_hat(self.aux_graph(), members);
             let cost = self.restricted_member_cost(members);
             spanner_mechanism(&cost, &d_hat, epsilon, stretch, opts)?
         };

@@ -21,7 +21,7 @@
 //! timings" in the service module docs).
 //!
 //! Lock discipline: a thread holds at most one shard's table lock at a
-//! time, never acquires an instance `RwLock` while holding a table
+//! time, never acquires an engine `RwLock` while holding a table
 //! lock, and the global in-flight counter is only taken after (or
 //! without) a table lock — so there is no cycle and no deadlock. Cache
 //! hits touch exactly one short table-lock critical section and never
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use rand::RngExt;
 use roadnet::{Location, Partition, RoadGraph};
 use vlp_core::local::local_index;
-use vlp_core::{LocalShard, Mechanism, Prior, QualityTier, VlpError, VlpInstance};
+use vlp_core::{CgOptions, LocalShard, Mechanism, Prior, QualityTier, VlpError, VlpInstance};
 use vlp_obs::failpoint::{self, site, FaultPlan};
 
 use super::ladder::{
@@ -239,7 +239,7 @@ impl ShardTable {
     /// to it.
     pub(crate) fn fallback_entry(
         &mut self,
-        engine: &EngineSnapshot,
+        engine: &LocalShard,
         key: MechKey,
         canonical: f64,
     ) -> Serve {
@@ -247,7 +247,7 @@ impl ShardTable {
         let mechanism = self
             .fallbacks
             .entry(key)
-            .or_insert_with(|| Arc::new(engine.build_fallback(key.nb, canonical)));
+            .or_insert_with(|| Arc::new(engine.fallback_neighborhood(key.nb, canonical)));
         (
             Arc::clone(mechanism),
             QualityTier::Laplace,
@@ -269,164 +269,13 @@ pub(crate) struct SolveJob {
     pub(crate) reply: Option<mpsc::Sender<((usize, MechKey), MissOutcome)>>,
 }
 
-/// A point-in-time snapshot of one shard's solve engine (cheap: one
-/// refcount bump): the classic full-shard instance (one `O(K²)` LP per
-/// ε-bucket), or the locally-relevant engine that restricts every solve
-/// to a ρ-net neighborhood and never materializes an `O(K²)` object. It
-/// carries everything a request or a solver worker needs —
-/// locating/transplanting on the shard map, routing intervals to
-/// neighborhoods, solving, and building per-neighborhood fallbacks.
-#[derive(Debug, Clone)]
-pub(crate) enum EngineSnapshot {
-    Full(Arc<VlpInstance>),
-    Local(Arc<LocalShard>),
-}
-
-impl EngineSnapshot {
-    /// Locates a shard-local location's interval on the shard map.
-    pub(crate) fn locate(&self, local: Location) -> Option<usize> {
-        match self {
-            EngineSnapshot::Full(inst) => inst.disc.locate(&inst.graph, local),
-            EngineSnapshot::Local(shard) => shard.disc().locate(shard.graph(), local),
-        }
-    }
-
-    /// Transplants a location onto (global) interval `j`.
-    pub(crate) fn transplant(&self, local: Location, j: usize) -> Option<Location> {
-        match self {
-            EngineSnapshot::Full(inst) => inst.disc.transplant(&inst.graph, local, j),
-            EngineSnapshot::Local(shard) => shard.disc().transplant(shard.graph(), local, j),
-        }
-    }
-
-    /// The neighborhood serving interval `i`: always `0` in full-shard
-    /// mode, the ρ-net assignment in locally-relevant mode.
-    pub(crate) fn neighborhood_of(&self, i: usize) -> u32 {
-        match self {
-            EngineSnapshot::Full(_) => 0,
-            EngineSnapshot::Local(shard) => shard.neighborhood_of(i),
-        }
-    }
-
-    /// Maps global interval `i` to its row in neighborhood `nb`'s
-    /// mechanism. Identity in full-shard mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is outside `nb`'s support — impossible for the
-    /// serving path, which derives `nb` from `i`'s own assignment (an
-    /// interval is always ρ-covered by its assigned center, hence in
-    /// the ρ+r ball).
-    pub(crate) fn local_row(&self, nb: u32, i: usize) -> usize {
-        match self {
-            EngineSnapshot::Full(_) => i,
-            EngineSnapshot::Local(shard) => local_index(shard.members(nb), i)
-                .expect("an interval is in its assigned neighborhood's support"),
-        }
-    }
-
-    /// Maps a sampled mechanism column of neighborhood `nb` back to a
-    /// global interval id. Identity in full-shard mode.
-    pub(crate) fn global_interval(&self, nb: u32, col: usize) -> usize {
-        match self {
-            EngineSnapshot::Full(_) => col,
-            EngineSnapshot::Local(shard) => shard.members(nb)[col],
-        }
-    }
-
-    /// Builds neighborhood `nb`'s closed-form fallback at `canonical`.
-    pub(crate) fn build_fallback(&self, nb: u32, canonical: f64) -> Mechanism {
-        match self {
-            EngineSnapshot::Full(inst) => inst.fallback(canonical),
-            EngineSnapshot::Local(shard) => shard.fallback_neighborhood(nb, canonical),
-        }
-    }
-
-    /// Runs one solve for `key` at `key.tier` and packages it with its
-    /// LP-shape stats. `radius` is only read in full-shard mode; the
-    /// local engine's protection radius is fixed at boot. The
-    /// intermediate tiers read their LP-reduction knobs from `tiers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a `Laplace`-tier key: the graph-Laplace mechanism is
-    /// closed-form and built by [`EngineSnapshot::build_fallback`] —
-    /// it never occupies a solver worker.
-    pub(crate) fn solve(
-        &self,
-        key: MechKey,
-        epsilon: f64,
-        radius: f64,
-        cg: &vlp_core::CgOptions,
-        tiers: &TierPolicy,
-    ) -> Result<CachedSolve, VlpError> {
-        match self {
-            EngineSnapshot::Full(inst) => {
-                let k = inst.len();
-                let from_tier = |ts: vlp_core::TierSolve| CachedSolve {
-                    mechanism: Arc::new(ts.mechanism),
-                    quality_loss: ts.quality_loss,
-                    stats: SolveStats {
-                        support: k as u64,
-                        lp_vars: ts.lp_vars as u64,
-                        lp_rows: ts.lp_rows as u64,
-                    },
-                };
-                match key.tier {
-                    QualityTier::Exact => inst.solve(epsilon, radius, cg).map(|sv| CachedSolve {
-                        mechanism: Arc::new(sv.mechanism),
-                        quality_loss: sv.quality_loss,
-                        stats: SolveStats {
-                            support: k as u64,
-                            lp_vars: (k * k) as u64,
-                            lp_rows: sv.spec.lp_row_count(k) as u64,
-                        },
-                    }),
-                    QualityTier::Clustered => inst
-                        .solve_clustered(epsilon, radius, tiers.cluster_width, cg)
-                        .map(from_tier),
-                    QualityTier::Spanner => inst
-                        .solve_spanner(epsilon, tiers.spanner_stretch, cg)
-                        .map(from_tier),
-                    QualityTier::Laplace => {
-                        unreachable!("Laplace is built closed-form, never queued as a solve")
-                    }
-                }
-            }
-            EngineSnapshot::Local(shard) => {
-                let ls = match key.tier {
-                    QualityTier::Exact => shard.solve_neighborhood(key.nb, epsilon, cg),
-                    QualityTier::Clustered => {
-                        shard.clustered_neighborhood(key.nb, epsilon, tiers.cluster_width, cg)
-                    }
-                    QualityTier::Spanner => {
-                        shard.spanner_neighborhood(key.nb, epsilon, tiers.spanner_stretch, cg)
-                    }
-                    QualityTier::Laplace => {
-                        unreachable!("Laplace is built closed-form, never queued as a solve")
-                    }
-                };
-                ls.map(|ls| CachedSolve {
-                    mechanism: Arc::new(ls.mechanism),
-                    quality_loss: ls.quality_loss,
-                    stats: SolveStats {
-                        support: ls.support.len() as u64,
-                        lp_vars: ls.lp_vars as u64,
-                        lp_rows: ls.lp_rows as u64,
-                    },
-                })
-            }
-        }
-    }
-}
-
 /// A request routed onto its shard: the shard, the location in the
 /// shard's frame, a snapshot of the shard's engine, the located
 /// interval, and the neighborhood serving it.
 pub(crate) struct Routed {
     pub(crate) shard: usize,
     pub(crate) local: Location,
-    pub(crate) engine: EngineSnapshot,
+    pub(crate) engine: Arc<LocalShard>,
     pub(crate) interval: usize,
     pub(crate) nb: u32,
 }
@@ -451,13 +300,16 @@ impl Routed {
         epsilon: f64,
         rng: &mut R,
     ) -> Obfuscation {
-        let row = self.engine.local_row(self.nb, self.interval);
-        let j = self
-            .engine
-            .global_interval(self.nb, mechanism.sample_interval(row, rng));
+        let members = self.engine.members(self.nb);
+        // `nb` is the interval's own assignment, and an interval is
+        // ρ-covered by its center, hence in the ρ + r support ball.
+        let row = local_index(members, self.interval)
+            .expect("an interval is in its assigned neighborhood's support");
+        let j = members[mechanism.sample_interval(row, rng)];
         let location = self
             .engine
-            .transplant(self.local, j)
+            .disc()
+            .transplant(self.engine.graph(), self.local, j)
             .expect("reported interval lies on the shard");
         Obfuscation {
             worker,
@@ -476,7 +328,7 @@ impl Routed {
 /// routing table, and the sending half of its bounded solve queue.
 #[derive(Debug)]
 pub(crate) struct ShardRuntime {
-    engine: RwLock<EngineSnapshot>,
+    engine: RwLock<Arc<LocalShard>>,
     pub(crate) table: Mutex<ShardTable>,
     sender: Mutex<Option<SyncSender<SolveJob>>>,
     /// Jobs completed after shutdown began (the drain).
@@ -485,36 +337,8 @@ pub(crate) struct ShardRuntime {
 
 impl ShardRuntime {
     /// A snapshot of the shard's engine (cheap: one refcount bump).
-    pub(crate) fn engine(&self) -> EngineSnapshot {
-        self.engine
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// A snapshot of the shard's full-shard instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics in locally-relevant mode, which never materializes an
-    /// `O(K²)` instance — use the [`LocalShard`] accessors instead.
-    pub(crate) fn instance(&self) -> Arc<VlpInstance> {
-        match self.engine() {
-            EngineSnapshot::Full(inst) => inst,
-            EngineSnapshot::Local(_) => panic!(
-                "shard_instance is a full-shard accessor; \
-                 locally-relevant shards expose LocalShard instead"
-            ),
-        }
-    }
-
-    /// A snapshot of the shard's locally-relevant engine, when the
-    /// service runs in that mode.
-    pub(crate) fn local_shard(&self) -> Option<Arc<LocalShard>> {
-        match self.engine() {
-            EngineSnapshot::Full(_) => None,
-            EngineSnapshot::Local(shard) => Some(shard),
-        }
+    pub(crate) fn engine(&self) -> Arc<LocalShard> {
+        Arc::clone(&self.engine.read().unwrap_or_else(|p| p.into_inner()))
     }
 
     fn sender(&self) -> Option<SyncSender<SolveJob>> {
@@ -622,7 +446,7 @@ impl CoreShared {
     pub(crate) fn route(&self, loc: Location) -> Option<Routed> {
         let (shard, local) = self.partition.to_local(loc)?;
         let engine = self.shards[shard].engine();
-        let interval = engine.locate(local)?;
+        let interval = engine.disc().locate(engine.graph(), local)?;
         let nb = engine.neighborhood_of(interval);
         Some(Routed {
             shard,
@@ -728,7 +552,7 @@ impl CoreShared {
         &self,
         t: &mut ShardTable,
         shard: &ShardRuntime,
-        engine: &EngineSnapshot,
+        engine: &LocalShard,
         key: MechKey,
         canonical: f64,
         epoch: u64,
@@ -897,27 +721,16 @@ impl CoreShared {
             .unwrap_or_default()
     }
 
-    /// Swaps shard `s`'s instance for one with the new worker prior
+    /// Swaps shard `s`'s engine for one with the new worker prior
     /// (copy-on-write) and invalidates its cached mechanisms — they
     /// were optimal for the old prior. Fallbacks are prior-free and
-    /// stay. In-flight solves against the old instance are demoted to
+    /// stay. In-flight solves against the old engine are demoted to
     /// the stale store when they land (generation check).
     pub(crate) fn set_worker_prior(&self, s: usize, f_p: Prior) {
         let shard = &self.shards[s];
         {
             let mut slot = shard.engine.write().unwrap_or_else(|p| p.into_inner());
-            *slot = match &*slot {
-                EngineSnapshot::Full(inst) => {
-                    let mut inst = (**inst).clone();
-                    inst.set_worker_prior(f_p);
-                    EngineSnapshot::Full(Arc::new(inst))
-                }
-                EngineSnapshot::Local(sh) => {
-                    let mut sh = (**sh).clone();
-                    sh.set_worker_prior(f_p);
-                    EngineSnapshot::Local(Arc::new(sh))
-                }
-            };
+            Arc::make_mut(&mut slot).set_worker_prior(f_p);
         }
         let epoch = self.epoch.load(Ordering::Relaxed);
         let stale_capacity = self.config.resilience.stale_capacity;
@@ -968,10 +781,10 @@ impl CoreShared {
                 failpoint::activate(Arc::clone(&self.chaos), solve_key(job.epoch, key, attempt))
             });
             let result = catch_unwind(AssertUnwindSafe(|| {
-                engine.solve(
+                solve(
+                    &engine,
                     job.key,
                     job.epsilon,
-                    self.config.radius,
                     &self.config.cg,
                     &self.config.tiers,
                 )
@@ -1065,6 +878,45 @@ impl CoreShared {
     }
 }
 
+/// Runs one solve for `key` at `key.tier` on a shard's engine and
+/// packages it with its LP-shape stats. The intermediate tiers read
+/// their LP-reduction knobs from `tiers`.
+///
+/// # Panics
+///
+/// Panics on a `Laplace`-tier key: the graph-Laplace mechanism is
+/// closed-form and built by [`ShardTable::fallback_entry`] — it never
+/// occupies a solver worker.
+fn solve(
+    engine: &LocalShard,
+    key: MechKey,
+    epsilon: f64,
+    cg: &CgOptions,
+    tiers: &TierPolicy,
+) -> Result<CachedSolve, VlpError> {
+    let ls = match key.tier {
+        QualityTier::Exact => engine.solve_neighborhood(key.nb, epsilon, cg),
+        QualityTier::Clustered => {
+            engine.clustered_neighborhood(key.nb, epsilon, tiers.cluster_width, cg)
+        }
+        QualityTier::Spanner => {
+            engine.spanner_neighborhood(key.nb, epsilon, tiers.spanner_stretch, cg)
+        }
+        QualityTier::Laplace => {
+            unreachable!("Laplace is built closed-form, never queued as a solve")
+        }
+    }?;
+    Ok(CachedSolve {
+        mechanism: Arc::new(ls.mechanism),
+        quality_loss: ls.quality_loss,
+        stats: SolveStats {
+            support: ls.support.len() as u64,
+            lp_vars: ls.lp_vars as u64,
+            lp_rows: ls.lp_rows as u64,
+        },
+    })
+}
+
 /// The solver-worker main loop: receive, solve through the retry
 /// ladder, publish (open-loop) or reply (batch), repeat until the
 /// queue disconnects.
@@ -1155,24 +1007,20 @@ impl ServingCore {
             .map(|s| {
                 let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
                 receivers.push(Arc::new(Mutex::new(rx)));
+                let graph = s.graph().clone();
                 let engine = match &config.local {
-                    None => EngineSnapshot::Full(Arc::new(VlpInstance::uniform(
-                        s.graph().clone(),
-                        config.delta,
-                    ))),
+                    // Full mode: the whole shard is one neighborhood.
+                    None => LocalShard::whole_shard(
+                        VlpInstance::uniform(graph, config.delta),
+                        config.radius,
+                    ),
                     Some(local) => {
-                        let shard = LocalShard::uniform(
-                            s.graph().clone(),
-                            config.delta,
-                            local.rho,
-                            config.radius,
-                        );
-                        neighborhoods += shard.plan().neighborhood_count() as u64;
-                        EngineSnapshot::Local(Arc::new(shard))
+                        LocalShard::uniform(graph, config.delta, local.rho, config.radius)
                     }
                 };
+                neighborhoods += engine.plan().neighborhood_count() as u64;
                 ShardRuntime {
-                    engine: RwLock::new(engine),
+                    engine: RwLock::new(Arc::new(engine)),
                     table: Mutex::new(ShardTable::new(&config)),
                     sender: Mutex::new(Some(tx)),
                     drained: AtomicU64::new(0),

@@ -116,8 +116,8 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the initial mechanism solve fails, or if `service`
-    /// selects the locally-relevant engine (assignment needs the
-    /// full-shard engine's dense interval distances).
+    /// selects locally-relevant mode (assignment needs full mode's
+    /// dense interval distances).
     pub fn new(
         graph: RoadGraph,
         service: ServiceConfig,
