@@ -22,6 +22,9 @@
 //!   would have solved (`K_shard²` variables, computed, never
 //!   solved) exceeds the budget by at least [`CONTRAST_FLOOR`]×: the
 //!   flat curve is a property of the restriction, not of small maps.
+//! * **Row budget** — the suite's `service.solve.lp_rows` total fits
+//!   the committed [`ROWS_BUDGET`]: every restricted LP is solved on
+//!   its chain-reduced spec, not on every in-radius pair.
 //! * **Privacy** — every mechanism the service can serve from passes
 //!   `privacy::verify` against the unreduced restricted spec with
 //!   full-graph `d_min` exponents at its canonical ε.
@@ -84,6 +87,14 @@ const GROWTH_FLOOR: f64 = 10.0;
 /// enough that balls stop being boundary-clipped; the budget allows
 /// k = 50 for headroom and holds flat while `K²` grows by ~1000×.
 const VARS_BUDGET: u64 = 2_500;
+
+/// Committed budget for the suite's `service.solve.lp_rows` total: the
+/// instantiated Geo-I rows (pairs × k) of every LP the three scales
+/// solved, a deterministic work counter. Solving each restricted LP on
+/// its chain-reduced spec brought it from 93,972 (every in-radius pair)
+/// to 48,414; the budget keeps about 3% headroom over the latter and
+/// fails the former.
+const ROWS_BUDGET: u64 = 50_000;
 
 /// Minimum factor by which the top scale's full-shard LP (`K_shard²`
 /// variables) must exceed [`VARS_BUDGET`] — the separation that makes
@@ -239,6 +250,15 @@ fn check_gates(snapshot: &Value, reports: &[ScaleReport]) -> Result<(), String> 
         return Err(format!(
             "top-scale full-shard LP is only {contrast:.1}× the restricted budget \
              (floor {CONTRAST_FLOOR}×) — no separation to demonstrate"
+        ));
+    }
+    let rows = snapshot["counters"][platform::service::metrics::SOLVE_LP_ROWS]
+        .as_u64()
+        .unwrap_or(0);
+    if rows > ROWS_BUDGET {
+        return Err(format!(
+            "the suite's LPs instantiated {rows} Geo-I rows, over the committed budget \
+             of {ROWS_BUDGET} — restricted solves lost the chain reduction"
         ));
     }
     if snapshot["counters"]["bench_local.privacy_audits"]

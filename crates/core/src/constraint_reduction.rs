@@ -12,6 +12,12 @@
 //! Per Property 4.1 both directions of every marked adjacent pair are
 //! constrained (each with exponent `ε·δ`), which makes the chained
 //! implication available in both directions.
+//!
+//! Algorithm 1 walks shortest paths of the whole auxiliary graph, so it
+//! is only sound where those paths stay inside the constrained vertex
+//! set. [`chain_reduced`] applies the same chaining fact to a given
+//! spec instead — dropping pairs that two shorter pairs *of that spec*
+//! imply — which is sound on any support.
 
 use std::collections::HashSet;
 
@@ -180,6 +186,54 @@ pub fn reduced_spec(aux: &AuxiliaryGraph, epsilon: f64, radius: f64) -> PrivacyS
     }
 }
 
+/// Drops every constraint of `spec` (a spec over `k` intervals) that
+/// two strictly shorter constraints of the same spec imply through a
+/// third interval: `(a, b)` with exponent `d_ab` goes when some `m`
+/// has `(a, m)` and `(m, b)` in `spec` with `d_am < d_ab`,
+/// `d_mb < d_ab` and `d_am + d_mb ≤ d_ab` (plain float comparisons, no
+/// tolerance). The kept constraints stay in `spec`'s order.
+///
+/// Sound by induction on the exponent: both constituents are strictly
+/// shorter, so each is kept or itself implied, and chaining gives
+/// `z_a ≤ e^{ε·d_am}·e^{ε·d_mb}·z_b ≤ e^{ε·d_ab}·z_b` in every column.
+/// The comparisons are strict because the induction needs them: with
+/// `d_am = 0`, or a `d_am` too small to change the float sum, `d_mb`
+/// can equal `d_ab`, and two such pairs would each justify dropping
+/// the other. Unlike [`reduced_spec`], only constraints already in
+/// `spec` are chained, with their own exponents, so no chain leaves a
+/// restricted support. The locally-relevant solves of
+/// [`crate::local`] run on this subset; the unreduced `spec` stays
+/// what the solved mechanism is audited against.
+///
+/// # Panics
+///
+/// Panics if a constraint names an interval `≥ k`.
+pub fn chain_reduced(spec: &PrivacySpec, k: usize) -> PrivacySpec {
+    // Smallest exponent per ordered pair; +∞ where the spec has none,
+    // which no strict comparison below accepts.
+    let mut dist = vec![f64::INFINITY; k * k];
+    for c in &spec.constraints {
+        let slot = &mut dist[c.i * k + c.l];
+        *slot = slot.min(c.dist);
+    }
+    let implied = |c: &PrivacyConstraint| {
+        (0..k).any(|m| {
+            let (d_am, d_mb) = (dist[c.i * k + m], dist[m * k + c.l]);
+            d_am < c.dist && d_mb < c.dist && d_am + d_mb <= c.dist
+        })
+    };
+    PrivacySpec {
+        epsilon: spec.epsilon,
+        radius: spec.radius,
+        constraints: spec
+            .constraints
+            .iter()
+            .filter(|c| !implied(c))
+            .copied()
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,25 +337,18 @@ mod tests {
         assert!(res.marked.is_empty());
     }
 
-    #[test]
-    fn chained_bound_reaches_every_pair_within_radius() {
-        // Chaining the reduced constraints along a shortest path must
-        // reproduce the full constraint exponent for every pair.
-        let aux = aux(0.25);
-        let eps = 3.0;
-        let reduced = reduced_spec(&aux, eps, f64::INFINITY);
-        // Build adjacency with bounds and run a min-plus closure on the
-        // exponent distances (shortest path in "constraint space").
-        let k = aux.len();
+    /// Min-plus closure of a spec's exponents over `k` intervals: the
+    /// tightest chained exponent between every ordered pair
+    /// (shortest path in "constraint space", Floyd-Warshall).
+    fn chained_exponents(spec: &PrivacySpec, k: usize) -> Vec<f64> {
         let mut expdist = vec![f64::INFINITY; k * k];
         for i in 0..k {
             expdist[i * k + i] = 0.0;
         }
-        for c in &reduced.constraints {
+        for c in &spec.constraints {
             let slot = &mut expdist[c.i * k + c.l];
             *slot = slot.min(c.dist);
         }
-        // Floyd-Warshall (k is small in this test).
         for m in 0..k {
             for i in 0..k {
                 let dim = expdist[i * k + m];
@@ -316,6 +363,18 @@ mod tests {
                 }
             }
         }
+        expdist
+    }
+
+    #[test]
+    fn chained_bound_reaches_every_pair_within_radius() {
+        // Chaining the reduced constraints along a shortest path must
+        // reproduce the full constraint exponent for every pair.
+        let aux = aux(0.25);
+        let eps = 3.0;
+        let reduced = reduced_spec(&aux, eps, f64::INFINITY);
+        let k = aux.len();
+        let expdist = chained_exponents(&reduced, k);
         for i in 0..k {
             for l in 0..k {
                 if i == l {
@@ -329,5 +388,89 @@ mod tests {
                 );
             }
         }
+
+        // The chain-reduced spec of every partial neighborhood of a
+        // finite-ρ shard on the same grid: chaining the kept
+        // constraints, all inside the support, must reach every pair
+        // of the unreduced restricted spec within its exponent.
+        let graph = generators::grid(3, 3, 0.4, true);
+        let shard = crate::local::LocalShard::uniform(graph, 0.25, 0.4, 0.4);
+        let mut partial = 0;
+        for nb in 0..shard.plan().neighborhood_count() as u32 {
+            let k = shard.members(nb).len();
+            if k == shard.len() {
+                continue;
+            }
+            partial += 1;
+            let audit = shard.audit_spec(nb, eps);
+            let kept = chain_reduced(&audit, k);
+            assert!(
+                kept.pair_count() < audit.pair_count(),
+                "nb {nb}: nothing dropped"
+            );
+            let expdist = chained_exponents(&kept, k);
+            for c in &audit.constraints {
+                let got = expdist[c.i * k + c.l];
+                assert!(
+                    got <= c.dist + 1e-9,
+                    "nb {nb} pair ({},{}): chained exponent {got} exceeds {}",
+                    c.i,
+                    c.l,
+                    c.dist
+                );
+            }
+        }
+        assert!(partial > 0, "rho too large for the test");
+    }
+
+    #[test]
+    fn zero_and_sub_ulp_exponents_never_justify_a_drop() {
+        // `a` and `m` coincide (exponent 0, the degenerate-map case of a
+        // zero-length stretch), and both lie `x` from `b`. Chaining
+        // through the zero pair would let (a, b) and (m, b) each justify
+        // dropping the other, leaving `b` unconstrained against both.
+        // The same holds for a positive exponent too small to move the
+        // float sum.
+        let (a, m, b) = (0, 1, 2);
+        let x = 0.3;
+        for tiny in [0.0, 1e-20] {
+            let mut constraints = Vec::new();
+            for (i, l, dist) in [(a, m, tiny), (a, b, x), (m, b, x)] {
+                constraints.push(PrivacyConstraint { i, l, dist });
+                constraints.push(PrivacyConstraint { i: l, l: i, dist });
+            }
+            let spec = PrivacySpec {
+                epsilon: 2.0,
+                radius: f64::INFINITY,
+                constraints,
+            };
+            let kept = chain_reduced(&spec, 3);
+            for (i, l) in [(a, b), (m, b), (b, a), (b, m)] {
+                assert!(
+                    kept.constraints.iter().any(|c| (c.i, c.l) == (i, l)),
+                    "exponent {tiny}: ({i},{l}) dropped"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chain_reduction_drops_the_implied_pair_and_keeps_order() {
+        // A path a — m — b at 0.2 km steps: the 0.4 km pair goes in
+        // both directions, the adjacent pairs stay in input order.
+        let mut constraints = Vec::new();
+        for (i, l, dist) in [(0, 1, 0.2), (0, 2, 0.4), (1, 2, 0.2)] {
+            constraints.push(PrivacyConstraint { i, l, dist });
+            constraints.push(PrivacyConstraint { i: l, l: i, dist });
+        }
+        let spec = PrivacySpec {
+            epsilon: 2.0,
+            radius: 0.5,
+            constraints,
+        };
+        let kept = chain_reduced(&spec, 3);
+        let pairs: Vec<(usize, usize)> = kept.constraints.iter().map(|c| (c.i, c.l)).collect();
+        assert_eq!(pairs, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
+        assert_eq!((kept.epsilon, kept.radius), (spec.epsilon, spec.radius));
     }
 }

@@ -36,13 +36,21 @@
 //!
 //! Two caveats, both deliberate:
 //!
-//! * **Constraint reduction is disabled on restricted supports.** The
+//! * **Restricted supports use the chain rule, never Algorithm 1.** The
 //!   paper's Algorithm 1 is only sound when shortest paths stay inside
 //!   the vertex set; on an induced neighborhood a reduced chain can
-//!   detour outside and silently *loosen* privacy. Local solves use
-//!   the unreduced restricted spec — `O(k²)` pairs, which for
-//!   `k ≪ K` is still far smaller than the reduced `O(M)` full-shard
-//!   set.
+//!   detour outside and silently *loosen* privacy. A partial
+//!   neighborhood is instead solved on
+//!   [`chain_reduced`] of its unreduced restricted spec: a pair
+//!   `(a, b)` is dropped only when two strictly shorter pairs
+//!   `(a, m)`, `(m, b)` of that same spec, with `m` in the support and
+//!   their full-graph `d_min` exponents, chain to at most `d_min(a, b)`.
+//!   By induction on the exponent each constituent is kept or itself
+//!   implied, so every column still satisfies every unreduced pair, and
+//!   no chain leaves the support. On the grids here this keeps the
+//!   adjacent pairs plus the few whose middle interval lies outside
+//!   the support — about half the `O(k²)` pairs. The solved mechanism
+//!   is audited against the unreduced spec all the same.
 //! * **The guarantee is per neighborhood**, exactly as the existing
 //!   sharded service's guarantee is per region shard: two nearby
 //!   vehicles assigned to *different* neighborhoods draw from
@@ -75,6 +83,7 @@ use roadnet::{bounded_ball, distances_to_targets, BallMetric, NodeId, RoadGraph}
 
 use crate::auxiliary::aux_road_graph;
 use crate::column_generation::{solve_column_generation, CgDiagnostics, CgOptions};
+use crate::constraint_reduction::chain_reduced;
 use crate::cost::{CostMatrix, Prior};
 use crate::discretize::Discretization;
 use crate::error::VlpError;
@@ -257,7 +266,11 @@ pub struct LocalSolve {
     pub diagnostics: CgDiagnostics,
     /// LP variable count (`k²`) — the quantity the `O(k²)` claim gates.
     pub lp_vars: usize,
-    /// LP inequality-row count induced by the solved constraint set.
+    /// LP inequality-row count of the constraint set actually solved:
+    /// the chain-reduced restricted spec on a partial support, the
+    /// Algorithm 1 spec on a whole-shard one, the cluster or spanner
+    /// spec on the intermediate tiers. An exact solve never has more
+    /// rows than its audit spec induces.
     pub lp_rows: usize,
 }
 
@@ -302,7 +315,8 @@ fn restricted_cost(
 /// Builds the unreduced restricted `(ε, r)` spec over `support`: one
 /// constraint per ordered local pair with full-graph
 /// `d_min ≤ radius`, enumerated in the same order as
-/// [`PrivacySpec::full`]. `d_min(i, l)` takes *global* ids.
+/// [`PrivacySpec::full`]. `d_min(i, l)` takes *global* ids. This is
+/// the audit spec; solves run on its [`chain_reduced`] subset.
 fn restricted_spec(
     support: &[usize],
     epsilon: f64,
@@ -354,7 +368,8 @@ impl VlpInstance {
     /// The unreduced restricted `(ε, radius)` audit spec over
     /// `support`, with full-graph `d_min` distances in the exponents —
     /// what [`crate::privacy::verify`] checks a locally-relevant
-    /// mechanism against.
+    /// mechanism against. [`Self::solve_local`] solves its
+    /// [`chain_reduced`] subset on a partial support.
     pub fn local_spec(&self, support: &[usize], epsilon: f64, radius: f64) -> PrivacySpec {
         check_support(support, self.len());
         restricted_spec(support, epsilon, radius, |i, l| self.aux.distance_min(i, l))
@@ -364,11 +379,15 @@ impl VlpInstance {
     /// ids) at `(epsilon, radius)`-Geo-I.
     ///
     /// With full support this delegates verbatim to [`Self::solve`] —
-    /// the radius-∞ case *is* the full-shard solve, bit for bit. With a
-    /// partial support it builds the restricted cost (raw restricted
-    /// priors) and the unreduced restricted constraint set (full-graph
-    /// `d_min`; see the module docs for why Algorithm 1 must not run on
-    /// an induced subgraph) and solves the `O(k²)`-variable LP.
+    /// the radius-∞ case *is* the full-shard solve, bit for bit, on the
+    /// Algorithm 1 spec. With a partial support it builds the
+    /// restricted cost (raw restricted priors) and solves the
+    /// `O(k²)`-variable LP on the [`chain_reduced`] subset of
+    /// [`Self::local_spec`] (full-graph `d_min`; see the module docs for
+    /// why Algorithm 1 must not run on an induced subgraph). Either way
+    /// the result is audited against [`Self::local_spec`]. This is the
+    /// dense reference [`LocalShard::solve_neighborhood`] matches bit
+    /// for bit.
     ///
     /// # Errors
     ///
@@ -401,8 +420,8 @@ impl VlpInstance {
         let cost = restricted_cost(support, &self.f_p, &self.f_q, |i, q| {
             self.interval_dists.get(i, q)
         });
-        let spec = restricted_spec(support, epsilon, radius, |i, l| self.aux.distance_min(i, l));
         let k = support.len();
+        let spec = chain_reduced(&self.local_spec(support, epsilon, radius), k);
         let lp_rows = spec.lp_row_count(k);
         let (mechanism, quality_loss, diagnostics) = solve_column_generation(&cost, &spec, opts)?;
         Ok(LocalSolve {
@@ -668,8 +687,11 @@ impl LocalShard {
     }
 
     /// The unreduced restricted `(ε, protection)` spec of neighborhood
-    /// `nb` — both the constraint set local solves enforce and the
-    /// audit spec served mechanisms are verified against.
+    /// `nb` — the audit spec every mechanism served for `nb` is verified
+    /// against, and the input of every solve: the exact solve of a
+    /// partial neighborhood enforces its [`chain_reduced`] subset, the
+    /// clustering tier takes its cluster distances from it. A
+    /// whole-shard neighborhood audits against [`PrivacySpec::full`].
     pub fn audit_spec(&self, nb: u32, epsilon: f64) -> PrivacySpec {
         let members = self.members(nb);
         if members.len() == self.len() {
@@ -696,10 +718,13 @@ impl LocalShard {
 
     /// Solves neighborhood `nb` at budget `epsilon`: an
     /// `O(k²)`-variable LP whose cost and constraints are computed with
-    /// neighborhood-bounded Dijkstra runs — bit-identical to
+    /// neighborhood-bounded Dijkstra runs, on the [`chain_reduced`]
+    /// subset of [`Self::audit_spec`] — bit-identical to
     /// [`VlpInstance::solve_local`] over the same support, without the
     /// dense `O(K²)` precomputation. Full-support neighborhoods
-    /// delegate to the dense instance ([`VlpInstance::solve`]).
+    /// delegate to the dense instance ([`VlpInstance::solve`], on the
+    /// Algorithm 1 spec). Either way the result is audited against
+    /// [`Self::audit_spec`].
     ///
     /// # Errors
     ///
@@ -717,8 +742,8 @@ impl LocalShard {
                 .solve_local(epsilon, self.plan.protection(), members, opts);
         }
         let cost = self.restricted_member_cost(members);
-        let spec = self.audit_spec(nb, epsilon);
         let k = members.len();
+        let spec = chain_reduced(&self.audit_spec(nb, epsilon), k);
         let lp_rows = spec.lp_row_count(k);
         let (mechanism, quality_loss, diagnostics) = solve_column_generation(&cost, &spec, opts)?;
         Ok(LocalSolve {

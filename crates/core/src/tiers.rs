@@ -23,18 +23,22 @@
 //!
 //! * `a = b`: the lifted rows of `i` and `l` are **identical**, so the
 //!   ratio is 1 and every bound holds.
-//! * `a ≠ b`: the cluster problem carries the constraint pair `(a, b)`
-//!   at distance `d_c(a, b) = min` over member pairs of the original
+//! * `a ≠ b`: the cluster spec has the constraint pair `(a, b)` at
+//!   distance `d_c(a, b) = min` over member pairs of the original
 //!   `d(·,·)` — in particular `d_c(a, b) ≤ d(i, l)` — so
 //!   `z_{a·} ≤ e^{ε·d_c(a,b)} · z_{b·} ≤ e^{ε·d(i,l)} · z_{b·}`
-//!   column-wise, which is exactly the lifted member constraint.
+//!   column-wise, which is exactly the lifted member constraint. The
+//!   LP is solved on the [`chain_reduced`] cluster spec, which imposes
+//!   that bound directly or implies it by chaining strictly shorter
+//!   cluster pairs.
 //!
 //! The cluster objective `C[a][b] = Σ_{i∈a} cost(i, center_b)` makes
 //! the cluster LP minimize the *exact* lifted ETDD, so the reported
 //! quality loss is the true served quality, not a surrogate. With
 //! `width = 0` every member is its own cluster and the construction
-//! degenerates to the exact solve of the unreduced spec (identical up
-//! to the final row renormalization of the lift).
+//! degenerates to the exact solve of the chain-reduced spec — on a
+//! partial neighborhood, the exact neighborhood solve (identical up to
+//! the final row renormalization of the lift).
 //!
 //! # Constraint-graph spanner ([`spanner_mechanism`])
 //!
@@ -52,10 +56,11 @@
 //! path length. By the spanner guarantee `d_H ≤ t · d̂(i, l)`, so the
 //! ratio is bounded by `e^{ε·d̂(i,l)} ≤ e^{ε·d_min(i,l)}` — every
 //! constraint of the **full** spec holds, at any protection radius.
-//! The win: an unreduced restricted spec has `O(k²)` pairs (`O(k³)` LP
-//! rows) where the paper's constraint reduction is unsound (induced
-//! subgraphs — see [`crate::local`]); the spanner keeps `O(k)` edges
-//! (`O(k²)` rows) with a quality cost governed by `t`.
+//! The win: on a restricted support the paper's Algorithm 1 is unsound
+//! (induced subgraphs — see [`crate::local`]), and the chain-reduced
+//! restricted spec the exact solve runs on still has `O(k²)` pairs in
+//! general (`O(k³)` LP rows); the spanner keeps `O(k)` edges (`O(k²)`
+//! rows) with a quality cost governed by `t`.
 //!
 //! Both constructions return a [`TierSolve`] shaped like an exact
 //! solve, so the serving layer treats every rung of the quality ladder
@@ -66,6 +71,7 @@ use std::collections::BinaryHeap;
 use roadnet::{distances_to_targets, BallMetric, NodeId, RoadGraph};
 
 use crate::column_generation::{solve_column_generation, CgDiagnostics, CgOptions};
+use crate::constraint_reduction::chain_reduced;
 use crate::cost::CostMatrix;
 use crate::error::VlpError;
 use crate::instance::VlpInstance;
@@ -197,11 +203,15 @@ fn pairwise_from_spec(k: usize, spec: &PrivacySpec) -> Vec<f64> {
 ///
 /// `spec` must be the **unreduced** constraint set the result is
 /// audited against ([`PrivacySpec::full`] or a restricted spec from
-/// [`crate::local`]) — the reduced set of §4.2 omits pairs the
-/// clustering needs. `width = 0` reproduces the exact solve of `spec`
-/// bit for bit. Pairs absent from `spec` (beyond the protection
-/// radius) are treated as infinitely far: never clustered together,
-/// never constrained.
+/// [`crate::local`]): cluster distances are minima over the member
+/// pairs present, so a reduced input (§4.2, or [`chain_reduced`])
+/// would loosen them. The cluster LP itself is solved on the
+/// [`chain_reduced`] cluster spec, built only after the distances are
+/// taken. `width = 0` solves the chain-reduced `spec` itself — on a
+/// partial neighborhood, the LP of the exact neighborhood solve — up
+/// to the lift's row renormalization. Pairs absent from `spec`
+/// (beyond the protection radius) are treated as infinitely far: never
+/// clustered together, never constrained.
 ///
 /// # Errors
 ///
@@ -274,11 +284,17 @@ pub fn clustered_mechanism(
             }
         }
     }
-    let c_spec = PrivacySpec {
-        epsilon: spec.epsilon,
-        radius: spec.radius,
-        constraints,
-    };
+    // Solve on the chain-reduced cluster spec: every cluster distance
+    // above came from the unreduced input, so dropping implied cluster
+    // pairs only now leaves the feasible region unchanged.
+    let c_spec = chain_reduced(
+        &PrivacySpec {
+            epsilon: spec.epsilon,
+            radius: spec.radius,
+            constraints,
+        },
+        m,
+    );
     let lp_rows = c_spec.lp_row_count(m);
     let c_matrix = CostMatrix::from_dense(m, c_cost);
     let (c_mech, _, diagnostics) = solve_column_generation(&c_matrix, &c_spec, opts)?;
@@ -440,7 +456,8 @@ pub fn support_d_hat(aux_graph: &RoadGraph, support: &[usize]) -> Vec<f64> {
 impl VlpInstance {
     /// Solves the interval-clustering tier over the full support: the
     /// unreduced `(epsilon, radius)` spec, greedy `width`-clustering,
-    /// cluster LP, lift ([`clustered_mechanism`]).
+    /// cluster LP (chain-reduced), lift ([`clustered_mechanism`]). The
+    /// result is audited against that unreduced spec.
     ///
     /// ```
     /// use roadnet::generators;
@@ -503,9 +520,9 @@ impl VlpInstance {
 /// tier constructors, so every rung shares one audit spec.
 impl crate::local::LocalShard {
     /// Solves neighborhood `nb` at the interval-clustering tier —
-    /// clustering the restricted support with the same full-graph
-    /// `d_min` exponents the exact neighborhood solve enforces, so the
-    /// lifted mechanism passes [`Self::audit_spec`] unchanged.
+    /// clustering the restricted support on the unreduced
+    /// [`Self::audit_spec`] (the cluster LP is then chain-reduced), so
+    /// the lifted mechanism passes that audit spec unchanged.
     ///
     /// # Errors
     ///

@@ -57,8 +57,9 @@ proptest! {
     /// protection radii, every neighborhood the sparse engine can serve
     /// — optimally solved or fallback — passes `privacy::verify`
     /// against the unreduced restricted spec with full-graph `d_min`
-    /// exponents, and every interval's `r`-ball is inside its assigned
-    /// support (the locality theorem).
+    /// exponents (while the solved LP, chain-reduced, has no more rows
+    /// than that spec), and every interval's `r`-ball is inside its
+    /// assigned support (the locality theorem).
     #[test]
     fn finite_radii_never_yield_invalid_mechanisms(
         graph in arb_graph(),
@@ -99,6 +100,7 @@ proptest! {
             );
             let k = solved.support.len();
             prop_assert_eq!(solved.lp_vars, k * k);
+            prop_assert!(solved.lp_rows <= spec.lp_row_count(k));
             let fallback = shard.fallback_neighborhood(nb, eps);
             prop_assert!(
                 privacy::verify(&fallback, &spec, 1e-9),

@@ -70,6 +70,19 @@ pub struct TimerStat {
     pub max_ns: u64,
 }
 
+impl Default for TimerStat {
+    /// No spans yet: `min_ns` starts at `u64::MAX` so the first span
+    /// sets it.
+    fn default() -> Self {
+        TimerStat {
+            count: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
+}
+
 impl TimerStat {
     fn record(&mut self, ns: u64) {
         self.count += 1;
@@ -85,6 +98,16 @@ impl TimerStat {
         } else {
             self.total_ns as f64 / self.count as f64
         }
+    }
+}
+
+/// Applies `record` to the metric `name` in `map`, inserting it at its
+/// default first when absent. Only that first insert allocates the
+/// key; recording into an existing metric looks it up by `&str`.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, record: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => record(value),
+        None => record(map.entry(name.to_string()).or_default()),
     }
 }
 
@@ -120,43 +143,26 @@ impl Registry {
 
     /// Adds `by` to the named monotonic counter, creating it at zero.
     pub fn incr(&self, name: &str, by: u64) {
-        let mut state = self.lock();
-        *state.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.lock().counters, name, |c| *c += by);
     }
 
     /// Records one wall-clock span of `duration` under `name`.
     pub fn record_duration(&self, name: &str, duration: Duration) {
         let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-        let mut state = self.lock();
-        state
-            .timers
-            .entry(name.to_string())
-            .or_insert(TimerStat {
-                count: 0,
-                total_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            })
-            .record(ns);
+        update(&mut self.lock().timers, name, |t| t.record(ns));
     }
 
     /// Appends `value` to the named series (e.g. a per-iteration
     /// objective history).
     pub fn push(&self, name: &str, value: f64) {
-        self.lock()
-            .series
-            .entry(name.to_string())
-            .or_default()
-            .push(value);
+        update(&mut self.lock().series, name, |s| s.push(value));
     }
 
     /// Appends every element of `values` to the named series.
     pub fn extend(&self, name: &str, values: &[f64]) {
-        self.lock()
-            .series
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(values);
+        update(&mut self.lock().series, name, |s| {
+            s.extend_from_slice(values)
+        });
     }
 
     /// Starts a scoped timer; the span is recorded when the guard

@@ -344,13 +344,26 @@ impl TraceLedger {
         if self.spent.is_empty() || !self.config.trace_budget.is_finite() {
             return 0.0;
         }
-        let total: f64 = self
+        let fills = self
             .spent
             .values()
-            .map(|&e| (e / self.config.trace_budget).min(1.0))
-            .sum();
-        total / self.spent.len() as f64
+            .map(|&e| (e / self.config.trace_budget).min(1.0));
+        fixed_point_sum(fills) / self.spent.len() as f64
     }
+}
+
+/// Scale of [`fixed_point_sum`]: a fill of 1 maps to `2^63`, the
+/// largest power of two a `u64` holds.
+const FILL_SCALE: f64 = (1u64 << 63) as f64;
+
+/// Sums fractions in `[0, 1]` exactly and independently of their order:
+/// each is truncated to a multiple of `2^-63` (exact for every fill of
+/// at least `2^-11`), the integers are added in a `u128`, and the total
+/// is rounded to `f64` once. `HashMap` iteration order then cannot move
+/// the result, and there is no sort and no allocation.
+fn fixed_point_sum(fractions: impl Iterator<Item = f64>) -> f64 {
+    let total: u128 = fractions.map(|f| u128::from((f * FILL_SCALE) as u64)).sum();
+    total as f64 / FILL_SCALE
 }
 
 #[cfg(test)]
@@ -466,6 +479,21 @@ mod tests {
         let _ = l.admit(WorkerId(2), 3.0, W);
         assert_eq!(l.entries(), vec![(WorkerId(2), 3.0), (WorkerId(9), 1.0)]);
         assert!((l.mean_fill() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fill_sum_is_independent_of_order() {
+        // Float addition is not associative ((0.1 + 0.2) + 0.3 is
+        // 0.6000000000000001, 0.1 + (0.2 + 0.3) is 0.6), so a naive sum
+        // of these fills depends on the order they arrive in.
+        let fills = [0.1, 0.2, 0.3, 0.925, 1.0, 0.0, 1e-300, 0.7];
+        let naive_fwd: f64 = fills.iter().sum();
+        let naive_rev: f64 = fills.iter().rev().sum();
+        assert_ne!(naive_fwd.to_bits(), naive_rev.to_bits());
+        let fwd = fixed_point_sum(fills.iter().copied());
+        let rev = fixed_point_sum(fills.iter().rev().copied());
+        assert_eq!(fwd.to_bits(), rev.to_bits());
+        assert!((fwd - 3.225).abs() < 1e-15);
     }
 
     #[test]
