@@ -74,6 +74,26 @@ pub fn gated_runs<T>(
     first
 }
 
+/// The committed budgets on the Dijkstra work counters, as
+/// `(runs, settled nodes)`: fails naming the first of
+/// `roadnet.dijkstra.runs` and `roadnet.dijkstra.settled_nodes` whose
+/// count in `snapshot` exceeds its budget. Both counts are exact for a
+/// fixed seed, so a budget over them fails any change that makes a
+/// bounded or targeted search settle more than it needs.
+pub fn dijkstra_budgets(snapshot: &Value, runs: u64, settled: u64) -> Result<(), String> {
+    use roadnet::shortest_path::metrics::{DIJKSTRA_RUNS, SETTLED_NODES};
+    for (name, budget) in [(DIJKSTRA_RUNS, runs), (SETTLED_NODES, settled)] {
+        let count = snapshot["counters"][name].as_u64().unwrap_or(0);
+        if count > budget {
+            return Err(format!(
+                "counter `{name}` reached {count}, over the committed budget of {budget} \
+                 — the Dijkstra searches do more work than they need"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Writes `snapshot` to `out` as pretty JSON with a trailing newline,
 /// creating parent directories as needed.
 ///

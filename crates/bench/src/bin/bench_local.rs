@@ -25,6 +25,11 @@
 //! * **Row budget** — the suite's `service.solve.lp_rows` total fits
 //!   the committed [`ROWS_BUDGET`]: every restricted LP is solved on
 //!   its chain-reduced spec, not on every in-radius pair.
+//! * **Dijkstra budget** — the suite's `roadnet.dijkstra.runs` and
+//!   `roadnet.dijkstra.settled_nodes` fit the committed
+//!   [`DIJKSTRA_RUNS_BUDGET`] and [`SETTLED_BUDGET`]: support balls and
+//!   audit balls stop at their radius, and targeted runs stop at their
+//!   last target.
 //! * **Privacy** — every mechanism the service can serve from passes
 //!   `privacy::verify` against the unreduced restricted spec with
 //!   full-graph `d_min` exponents at its canonical ε.
@@ -95,6 +100,16 @@ const VARS_BUDGET: u64 = 2_500;
 /// to 48,414; the budget keeps about 3% headroom over the latter and
 /// fails the former.
 const ROWS_BUDGET: u64 = 50_000;
+
+/// Committed budget for the suite's `roadnet.dijkstra.runs`. The count
+/// is exact (2,028 single-source runs), so the budget leaves about 2%
+/// headroom.
+const DIJKSTRA_RUNS_BUDGET: u64 = 2_070;
+
+/// Committed budget for the suite's `roadnet.dijkstra.settled_nodes`.
+/// The count is exact (26,994 settled nodes), so the budget leaves
+/// about 2% headroom.
+const SETTLED_BUDGET: u64 = 27_500;
 
 /// Minimum factor by which the top scale's full-shard LP (`K_shard²`
 /// variables) must exceed [`VARS_BUDGET`] — the separation that makes
@@ -261,6 +276,7 @@ fn check_gates(snapshot: &Value, reports: &[ScaleReport]) -> Result<(), String> 
              of {ROWS_BUDGET} — restricted solves lost the chain reduction"
         ));
     }
+    artifact::dijkstra_budgets(snapshot, DIJKSTRA_RUNS_BUDGET, SETTLED_BUDGET)?;
     if snapshot["counters"]["bench_local.privacy_audits"]
         .as_u64()
         .unwrap_or(0)

@@ -5,9 +5,11 @@
 //!
 //! The artifact is schema-validated (`vlp_obs::schema`) and checked for
 //! the signals CI gates on: nonzero simplex pivot counts, populated CG
-//! iteration histories, and an end-to-end wall-time timer. Timings are
-//! recorded but never gated — only structure and deterministic fields
-//! are.
+//! iteration histories, and an end-to-end wall-time timer. Total
+//! pivots and the Dijkstra work counters must fit committed budgets
+//! ([`PIVOT_BUDGET`], [`DIJKSTRA_RUNS_BUDGET`], [`SETTLED_BUDGET`]).
+//! Timings are recorded but never gated — only structure and
+//! deterministic fields are.
 //!
 //! Flags:
 //!
@@ -37,6 +39,16 @@ const RUN_ID: &str = "bench-smoke-v2";
 /// was ~189k); the budget leaves headroom for benign drift while still
 /// failing loudly if warm starts stop engaging.
 const PIVOT_BUDGET: u64 = 75_000;
+
+/// Committed budget for `roadnet.dijkstra.runs` across the scenario. The
+/// count is exact (409 single-source runs), so the budget leaves under
+/// 3% headroom.
+const DIJKSTRA_RUNS_BUDGET: u64 = 420;
+
+/// Committed budget for `roadnet.dijkstra.settled_nodes` across the
+/// scenario. The count is exact (18,769 settled nodes), so the budget
+/// leaves under 3% headroom.
+const SETTLED_BUDGET: u64 = 19_200;
 
 /// Runs the fixed scenario against a freshly reset global registry and
 /// returns the resulting telemetry snapshot.
@@ -168,6 +180,10 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if let Err(e) = artifact::dijkstra_budgets(&snapshot, DIJKSTRA_RUNS_BUDGET, SETTLED_BUDGET) {
+        eprintln!("bench_smoke: FAIL — {e}");
+        std::process::exit(1);
+    }
     let solves = snapshot["counters"][lpsolve::metrics::SOLVES]
         .as_u64()
         .unwrap_or(0);
@@ -177,9 +193,16 @@ fn main() {
     let total_ns = snapshot["timers"]["bench_smoke.total"]["total_ns"]
         .as_u64()
         .unwrap();
+    let runs = snapshot["counters"][roadnet::shortest_path::metrics::DIJKSTRA_RUNS]
+        .as_u64()
+        .unwrap_or(0);
+    let settled = snapshot["counters"][roadnet::shortest_path::metrics::SETTLED_NODES]
+        .as_u64()
+        .unwrap_or(0);
     println!(
         "bench_smoke: OK — {solves} LP solves, {pivots} pivots (budget {max_pivots}), \
-         {:.1}% warm, {:.2}s end-to-end → {out}",
+         {runs} Dijkstra runs settling {settled} nodes (budgets {DIJKSTRA_RUNS_BUDGET} / \
+         {SETTLED_BUDGET}), {:.1}% warm, {:.2}s end-to-end → {out}",
         warm_rate * 100.0,
         total_ns as f64 / 1e9
     );

@@ -376,7 +376,6 @@ pub fn solve_column_generation(
     };
     let mut last_columns = pool.len();
     let mut master_obj = pool.columns[..k].iter().map(|c| c.cost).sum::<f64>();
-    let debug = std::env::var_os("VLP_CG_DEBUG").is_some();
     // Stall detection: degenerate masters can accept improving columns
     // at zero step length, leaving the objective flat while pricing
     // still reports negative ζ (the "long tail" of §4.3.3). After
@@ -400,13 +399,6 @@ pub fn solve_column_generation(
     let mut best_bound = f64::NEG_INFINITY;
     loop {
         // --- Restricted master (RDW) ---
-        if debug {
-            eprintln!(
-                "[cg] iter {} solving master with {} columns",
-                diag.iterations + 1,
-                pool.len()
-            );
-        }
         // Validate the master solution: with near-singular bases
         // (near-parallel columns are unavoidable in column generation)
         // the simplex can fail outright or report an "optimal" point
@@ -428,15 +420,7 @@ pub fn solve_column_generation(
         diag.master_time += master_started.elapsed();
         let sol = match master_result {
             Ok(s) => s,
-            Err(e) => {
-                if debug {
-                    eprintln!(
-                        "[cg] iter {} master failed ({e:?}); stopping",
-                        diag.iterations + 1
-                    );
-                }
-                break;
-            }
+            Err(_) => break,
         };
         let min_lambda = sol.x.iter().cloned().fold(0.0f64, f64::min);
         let coupling_dev = {
@@ -453,12 +437,6 @@ pub fn solve_column_generation(
             worst
         };
         if coupling_dev > 1e-5 || min_lambda < -1e-6 {
-            if debug {
-                eprintln!(
-                    "[cg] iter {} master unhealthy (coupling dev {coupling_dev:.3e}, min lambda {min_lambda:.3e}); stopping",
-                    diag.iterations + 1
-                );
-            }
             break;
         }
         master_obj = sol.objective;
@@ -470,17 +448,6 @@ pub fn solve_column_generation(
         diag.iterations += 1;
 
         // --- Pricing subproblems sub_1 … sub_K (parallel) ---
-        if debug {
-            let min_rc = pool
-                .columns
-                .iter()
-                .map(|c| c.cost - pi.iter().zip(&c.z).map(|(p, z)| p * z).sum::<f64>() - mu[c.l])
-                .fold(f64::INFINITY, f64::min);
-            eprintln!(
-                "[cg] iter {} master obj {master_obj:.6}; min existing rc {min_rc:.3e}; pricing",
-                diag.iterations
-            );
-        }
         // Price at the smoothed duals; if that yields nothing new
         // (mispricing), retry at the exact master duals so termination
         // decisions are always made against a valid certificate.
@@ -552,13 +519,6 @@ pub fn solve_column_generation(
             stalled = 0;
         } else {
             stalled += 1;
-        }
-        if debug {
-            eprintln!(
-                "[cg] iter {}: min_zeta {min_zeta:.3e}, {} new columns, stalled {stalled}",
-                diag.iterations,
-                new_columns.len()
-            );
         }
         // Converged when: the Lagrangian gap closes, pricing certifies
         // ζ ≥ ξ, no improving column remains, the run stalls, or the

@@ -5,7 +5,8 @@
 // loop; iterator rewrites would obscure the linear-algebra intent.
 #![allow(clippy::needless_range_loop)]
 
-use roadnet::{distance, NodeDistances, RoadGraph};
+use roadnet::distance::{self, NodeMetric};
+use roadnet::{Location, NodeDistances, RoadGraph};
 use serde::{Deserialize, Serialize};
 
 use crate::discretize::Discretization;
@@ -96,15 +97,11 @@ pub struct IntervalDistances {
 impl IntervalDistances {
     /// Computes the `K × K` directed distance matrix.
     pub fn build(graph: &RoadGraph, node_dists: &NodeDistances, disc: &Discretization) -> Self {
-        let k = disc.len();
         let mids: Vec<_> = disc.intervals().iter().map(|u| u.midpoint()).collect();
-        let mut dist = vec![0.0; k * k];
-        for i in 0..k {
-            for q in 0..k {
-                dist[i * k + q] = distance::travel_distance(graph, node_dists, mids[i], mids[q]);
-            }
+        Self {
+            k: mids.len(),
+            dist: midpoint_table(graph, node_dists, &mids),
         }
-        Self { k, dist }
     }
 
     /// Directed travel distance from interval `i` to interval `q`.
@@ -126,6 +123,24 @@ impl IntervalDistances {
     pub fn is_empty(&self) -> bool {
         self.k == 0
     }
+}
+
+/// The row-major `k × k` table of directed travel distances between
+/// the representatives `mids` (Eq. 9/10 over `node_dists`): the one
+/// table builder behind the dense [`IntervalDistances`] and the
+/// restricted costs of [`crate::local::LocalShard`].
+pub(crate) fn midpoint_table<M: NodeMetric>(
+    graph: &RoadGraph,
+    node_dists: &M,
+    mids: &[Location],
+) -> Vec<f64> {
+    let mut dist = Vec::with_capacity(mids.len() * mids.len());
+    for &p in mids {
+        for &q in mids {
+            dist.push(distance::travel_distance_via(graph, node_dists, p, q));
+        }
+    }
+    dist
 }
 
 /// The D-VLP cost matrix: `c_{i,l}` is the expected quality loss
@@ -153,6 +168,18 @@ impl CostMatrix {
         let k = dists.len();
         assert_eq!(f_p.len(), k, "f_P dimension mismatch");
         assert_eq!(f_q.len(), k, "f_Q dimension mismatch");
+        Self::eq19(&dists.dist, f_p.as_slice(), f_q.as_slice())
+    }
+
+    /// The Eq. 19 kernel over `k = f_p.len()` intervals: `dist` is their
+    /// row-major `k × k` directed distance table, `f_p` and `f_q` their
+    /// prior masses. [`Self::build`] and the restricted costs of
+    /// [`crate::local`] both run it, so a restricted support sees the
+    /// dense build's arithmetic in the dense build's order.
+    pub(crate) fn eq19(dist: &[f64], f_p: &[f64], f_q: &[f64]) -> Self {
+        let k = f_p.len();
+        assert_eq!(f_q.len(), k, "f_Q dimension mismatch");
+        assert_eq!(dist.len(), k * k, "distance table must be k × k");
         if k == 0 {
             return Self {
                 k,
@@ -160,7 +187,7 @@ impl CostMatrix {
             };
         }
         // Rows are independent (row `i` reads only `f_p[i]`, `f_q`, and
-        // the distance matrix), so the O(K³) build fans out across
+        // the distance table), so the O(k³) build fans out across
         // cores; each row's accumulation order is unchanged, keeping
         // the result bit-identical for any thread count.
         let mut cost = vec![0.0; k * k];
@@ -176,15 +203,15 @@ impl CostMatrix {
                 handles.push(scope.spawn(move || {
                     for (off, row) in rows.chunks_mut(k).enumerate() {
                         let i = lo + off;
-                        let fp = f_p.get(i);
+                        let fp = f_p[i];
                         for l in 0..k {
                             let mut acc = 0.0;
                             if fp > 0.0 {
                                 for q in 0..k {
-                                    let fq = f_q.get(q);
+                                    let fq = f_q[q];
                                     if fq > 0.0 {
-                                        let di = dists.get(i, q);
-                                        let dl = dists.get(l, q);
+                                        let di = dist[i * k + q];
+                                        let dl = dist[l * k + q];
                                         acc += fq * (di - dl).abs();
                                     }
                                 }

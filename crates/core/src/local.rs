@@ -66,30 +66,39 @@
 //!   dense all-pairs matrices; used by tests and as the bit-identity
 //!   baseline. With full support it *delegates verbatim* to
 //!   [`VlpInstance::solve`], making "radius ∞ ≡ full-shard solve" true
-//!   by construction.
+//!   by construction. A partial support gathers its `k × k` distance
+//!   table and its `d_min` exponents from the dense matrices.
 //! * [`LocalShard`] — the engine every serving shard runs on. A
 //!   neighborhood smaller than the shard never materializes an `O(K²)`
-//!   matrix: per-neighborhood costs and constraints come from
-//!   radius-bounded and target-terminated Dijkstra runs whose settled
-//!   distances are bit-identical prefixes of the dense builds. A
-//!   neighborhood spanning the shard — the service's full mode,
-//!   [`LocalShard::whole_shard`] — delegates to a dense
+//!   matrix: its `k × k` distance table comes from target-terminated
+//!   Dijkstra runs and its `d_min` exponents from radius-bounded ones,
+//!   whose settled distances are bit-identical prefixes of the dense
+//!   builds. A neighborhood spanning the shard — the service's full
+//!   mode, [`LocalShard::whole_shard`] — delegates to a dense
 //!   [`VlpInstance`].
+//!
+//! Only the distance sources of the two paths differ. Both feed the
+//! kernels of the dense build: the Eq. 19 cost kernel behind
+//! [`CostMatrix::build`] (same row fan-out, and `q` ascending over the
+//! sorted support, so the same accumulation order) and the pair
+//! enumerator behind [`PrivacySpec::full`], so they agree by
+//! construction.
 
 use std::sync::{Arc, OnceLock};
 
-use roadnet::distance::{travel_distance_via, NodeMetric};
+use roadnet::distance::NodeMetric;
 use roadnet::{bounded_ball, distances_to_targets, BallMetric, NodeId, RoadGraph};
 
 use crate::auxiliary::aux_road_graph;
 use crate::column_generation::{solve_column_generation, CgDiagnostics, CgOptions};
 use crate::constraint_reduction::chain_reduced;
-use crate::cost::{CostMatrix, Prior};
+use crate::cost::{midpoint_table, CostMatrix, Prior};
 use crate::discretize::Discretization;
 use crate::error::VlpError;
 use crate::instance::VlpInstance;
 use crate::mechanism::Mechanism;
-use crate::privacy::{PrivacyConstraint, PrivacySpec};
+use crate::privacy::PrivacySpec;
+use crate::tiers::support_d_hat;
 
 /// One neighborhood of a [`LocalityPlan`]: a canonical center interval
 /// and the sorted global interval ids of its support ball `B(c, ρ+r)`.
@@ -274,79 +283,16 @@ pub struct LocalSolve {
     pub lp_rows: usize,
 }
 
-/// Builds the restricted cost matrix over `support` with the *raw*
-/// restricted priors (no renormalization — scaling rows by `f_P` and
-/// the whole matrix by `f_Q` leaves the LP argmin unchanged, and with
-/// full support the result is bit-identical to [`CostMatrix::build`]).
-/// `dist(i, q)` must return the directed interval distance between
-/// *global* ids.
-fn restricted_cost(
-    support: &[usize],
-    f_p: &Prior,
-    f_q: &Prior,
-    dist: impl Fn(usize, usize) -> f64,
-) -> CostMatrix {
-    let k = support.len();
-    let mut cost = vec![0.0; k * k];
-    for (a, row) in cost.chunks_mut(k).enumerate() {
-        let gi = support[a];
-        let fp = f_p.get(gi);
-        for (b, slot) in row.iter_mut().enumerate() {
-            let gl = support[b];
-            let mut acc = 0.0;
-            if fp > 0.0 {
-                // Same accumulation order as `CostMatrix::build`: `q`
-                // ascending (support is sorted by global id).
-                for &gq in support {
-                    let fq = f_q.get(gq);
-                    if fq > 0.0 {
-                        let di = dist(gi, gq);
-                        let dl = dist(gl, gq);
-                        acc += fq * (di - dl).abs();
-                    }
-                }
-            }
-            *slot = fp * acc;
-        }
-    }
-    CostMatrix::from_dense(k, cost)
-}
-
-/// Builds the unreduced restricted `(ε, r)` spec over `support`: one
-/// constraint per ordered local pair with full-graph
-/// `d_min ≤ radius`, enumerated in the same order as
-/// [`PrivacySpec::full`]. `d_min(i, l)` takes *global* ids. This is
-/// the audit spec; solves run on its [`chain_reduced`] subset.
-fn restricted_spec(
-    support: &[usize],
-    epsilon: f64,
-    radius: f64,
-    d_min: impl Fn(usize, usize) -> f64,
-) -> PrivacySpec {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!(radius >= 0.0, "radius must be non-negative");
-    let k = support.len();
-    let mut constraints = Vec::new();
-    for a in 0..k {
-        for b in 0..k {
-            if a == b {
-                continue;
-            }
-            let d = d_min(support[a], support[b]);
-            if d <= radius {
-                constraints.push(PrivacyConstraint {
-                    i: a,
-                    l: b,
-                    dist: d,
-                });
-            }
-        }
-    }
-    PrivacySpec {
-        epsilon,
-        radius,
-        constraints,
-    }
+/// The Eq. 19 cost matrix over `support` from its row-major `k × k`
+/// directed distance table, with the *raw* restricted priors (no
+/// renormalization — scaling rows by `f_P` and the whole matrix by
+/// `f_Q` leaves the LP argmin unchanged). It runs the kernel of
+/// [`CostMatrix::build`], so with full support and the dense table the
+/// two are bit-identical.
+fn support_cost(table: &[f64], support: &[usize], f_p: &Prior, f_q: &Prior) -> CostMatrix {
+    let at_support =
+        |prior: &Prior| -> Vec<f64> { support.iter().map(|&g| prior.get(g)).collect() };
+    CostMatrix::eq19(table, &at_support(f_p), &at_support(f_q))
 }
 
 /// Validates a support slice: non-empty, strictly increasing, in range.
@@ -372,7 +318,9 @@ impl VlpInstance {
     /// [`chain_reduced`] subset on a partial support.
     pub fn local_spec(&self, support: &[usize], epsilon: f64, radius: f64) -> PrivacySpec {
         check_support(support, self.len());
-        restricted_spec(support, epsilon, radius, |i, l| self.aux.distance_min(i, l))
+        PrivacySpec::within_radius(support.len(), epsilon, radius, |a, b| {
+            self.aux.distance_min(support[a], support[b])
+        })
     }
 
     /// Solves D-VLP restricted to `support` (sorted global interval
@@ -417,9 +365,11 @@ impl VlpInstance {
                 lp_rows,
             });
         }
-        let cost = restricted_cost(support, &self.f_p, &self.f_q, |i, q| {
-            self.interval_dists.get(i, q)
-        });
+        let table: Vec<f64> = support
+            .iter()
+            .flat_map(|&i| support.iter().map(move |&q| self.interval_dists.get(i, q)))
+            .collect();
+        let cost = support_cost(&table, support, &self.f_p, &self.f_q);
         let k = support.len();
         let spec = chain_reduced(&self.local_spec(support, epsilon, radius), k);
         let lp_rows = spec.lp_row_count(k);
@@ -638,11 +588,11 @@ impl LocalShard {
         &self.aux_graph
     }
 
-    /// The restricted cost matrix over `members`: directed road-graph
-    /// distances between member midpoints via target-terminated
-    /// Dijkstra from the member edges' end nodes — the same Eq. 9/10
-    /// composition as the dense build, shared by the exact neighborhood
-    /// solve and the quality tiers.
+    /// The restricted cost matrix over `members`, shared by the exact
+    /// neighborhood solve and the quality tiers: the dense build's
+    /// midpoint table and Eq. 19 kernel, with node distances from
+    /// target-terminated Dijkstra runs from the member edges' end nodes
+    /// in place of the all-pairs matrix.
     pub(crate) fn restricted_member_cost(&self, members: &[usize]) -> CostMatrix {
         let mids: Vec<_> = members
             .iter()
@@ -657,33 +607,8 @@ impl LocalShard {
             .map(|m| self.graph.edge(m.edge()).start())
             .collect();
         let node_dists = SparseNodeDists::build(&self.graph, &sources, &targets);
-        let member_slot: std::collections::HashMap<usize, usize> =
-            members.iter().enumerate().map(|(a, &g)| (g, a)).collect();
-        restricted_cost(members, &self.f_p, &self.f_q, |gi, gq| {
-            travel_distance_via(
-                &self.graph,
-                &node_dists,
-                mids[member_slot[&gi]],
-                mids[member_slot[&gq]],
-            )
-        })
-    }
-
-    /// Directed `d_min` balls of radius `r` on the auxiliary graph,
-    /// one per member: `map[a][global] = d(member_a → global)` for the
-    /// settled prefix. `d_min(a, b) ≤ r` iff either directed distance
-    /// is settled within `r`, and the settled values are bit-identical
-    /// to the dense all-pairs runs.
-    fn member_out_balls(&self, members: &[usize], radius: f64) -> Vec<Vec<(usize, f64)>> {
-        members
-            .iter()
-            .map(|&g| {
-                bounded_ball(&self.aux_graph, NodeId(g), radius, BallMetric::Out)
-                    .into_iter()
-                    .map(|(v, d)| (v.0, d))
-                    .collect()
-            })
-            .collect()
+        let table = midpoint_table(&self.graph, &node_dists, &mids);
+        support_cost(&table, members, &self.f_p, &self.f_q)
     }
 
     /// The unreduced restricted `(ε, protection)` spec of neighborhood
@@ -694,26 +619,26 @@ impl LocalShard {
     /// whole-shard neighborhood audits against [`PrivacySpec::full`].
     pub fn audit_spec(&self, nb: u32, epsilon: f64) -> PrivacySpec {
         let members = self.members(nb);
-        if members.len() == self.len() {
-            return PrivacySpec::full(&self.dense().aux, epsilon, self.plan.protection());
-        }
         let radius = self.plan.protection();
-        let balls = self.member_out_balls(members, radius);
-        // Dense per-member lookup over global ids (small: ball-sized).
-        let k_total = self.len();
-        let mut out = vec![f64::INFINITY; members.len() * k_total];
-        for (a, ball) in balls.iter().enumerate() {
-            for &(g, d) in ball {
-                out[a * k_total + g] = d;
+        if members.len() == self.len() {
+            return PrivacySpec::full(&self.dense().aux, epsilon, radius);
+        }
+        // One directed radius-`r` ball on the auxiliary graph per member:
+        // `d_min(a, b) ≤ r` iff either directed distance settles within
+        // `r`, and settled distances are bit-identical to the dense
+        // all-pairs runs, so every in-radius entry of the local table is
+        // exact and the rest stay infinite.
+        let k = members.len();
+        let mut d_min = vec![f64::INFINITY; k * k];
+        for (a, &g) in members.iter().enumerate() {
+            for (v, d) in bounded_ball(&self.aux_graph, NodeId(g), radius, BallMetric::Out) {
+                if let Some(b) = local_index(members, v.0) {
+                    d_min[a * k + b] = d_min[a * k + b].min(d);
+                    d_min[b * k + a] = d_min[b * k + a].min(d);
+                }
             }
         }
-        let member_slot: std::collections::HashMap<usize, usize> =
-            members.iter().enumerate().map(|(a, &g)| (g, a)).collect();
-        restricted_spec(members, epsilon, radius, |gi, gl| {
-            let a = member_slot[&gi];
-            let b = member_slot[&gl];
-            out[a * k_total + gl].min(out[b * k_total + gi])
-        })
+        PrivacySpec::within_radius(k, epsilon, radius, |a, b| d_min[a * k + b])
     }
 
     /// Solves neighborhood `nb` at budget `epsilon`: an
@@ -780,16 +705,14 @@ impl LocalShard {
             return self.dense().fallback(epsilon);
         }
         let k = members.len();
-        let nodes: Vec<NodeId> = members.iter().map(|&g| NodeId(g)).collect();
-        let mut z = vec![0.0; k * k];
-        for (a, row) in z.chunks_mut(k).enumerate() {
-            let d_hat =
-                distances_to_targets(&self.aux_graph, nodes[a], &nodes, BallMetric::Undirected);
-            for (b, slot) in row.iter_mut().enumerate() {
-                let d = d_hat[b];
+        let mut z: Vec<f64> = support_d_hat(&self.aux_graph, members)
+            .into_iter()
+            .map(|d| {
                 assert!(d.is_finite(), "support must be connected under d-hat");
-                *slot = (-(epsilon / 2.0) * d).exp();
-            }
+                (-(epsilon / 2.0) * d).exp()
+            })
+            .collect();
+        for row in z.chunks_mut(k) {
             let total: f64 = row.iter().sum();
             for slot in row.iter_mut() {
                 *slot /= total;
@@ -924,6 +847,34 @@ mod tests {
             let a = shard.audit_spec(nb, 3.0);
             let b = inst.local_spec(&members, 3.0, 0.4);
             assert_eq!(a, b, "nb {nb}");
+        }
+    }
+
+    #[test]
+    fn sparse_cost_at_full_support_matches_dense_cost_bit_for_bit() {
+        // Whole-shard neighborhoods delegate to the dense instance, so
+        // only a direct call puts the sparse distance source through the
+        // shared kernel over every interval. A skewed worker prior with
+        // zero-mass intervals exercises the kernel's skipped rows.
+        let graph = generators::grid(3, 3, 0.4, true);
+        let mut inst = VlpInstance::uniform(graph.clone(), 0.2);
+        let mut shard = LocalShard::uniform(graph, 0.2, 0.4, 0.4);
+        let k = shard.len();
+        let weights: Vec<f64> = (0..k).map(|i| (i % 3) as f64 * 0.7).collect();
+        let f_p = Prior::from_weights(&weights).unwrap();
+        inst.set_worker_prior(f_p.clone());
+        shard.set_worker_prior(f_p);
+        let all: Vec<usize> = (0..k).collect();
+        let sparse = shard.restricted_member_cost(&all);
+        assert_eq!(sparse.len(), k);
+        for i in 0..k {
+            for l in 0..k {
+                assert_eq!(
+                    sparse.get(i, l).to_bits(),
+                    inst.cost.get(i, l).to_bits(),
+                    "({i}, {l})"
+                );
+            }
         }
     }
 

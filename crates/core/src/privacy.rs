@@ -76,16 +76,33 @@ impl PrivacySpec {
     ///
     /// Panics if `epsilon` is not positive or `radius` is negative/NaN.
     pub fn full(aux: &AuxiliaryGraph, epsilon: f64, radius: f64) -> Self {
+        Self::within_radius(aux.len(), epsilon, radius, |i, l| aux.distance_min(i, l))
+    }
+
+    /// The Eq. 20 pair enumerator over `k` intervals: for every ordered
+    /// pair `(i, l)`, `i ≠ l`, in row-major order, one constraint with
+    /// `dist = d_min(i, l)` when that is at most `radius`. Every
+    /// unreduced spec — the full one and each restricted support's audit
+    /// spec — is built here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epsilon` is not positive or `radius` is negative/NaN.
+    pub(crate) fn within_radius(
+        k: usize,
+        epsilon: f64,
+        radius: f64,
+        d_min: impl Fn(usize, usize) -> f64,
+    ) -> Self {
         assert!(epsilon > 0.0, "epsilon must be positive");
         assert!(radius >= 0.0, "radius must be non-negative");
-        let k = aux.len();
         let mut constraints = Vec::new();
         for i in 0..k {
             for l in 0..k {
                 if i == l {
                     continue;
                 }
-                let d = aux.distance_min(i, l);
+                let d = d_min(i, l);
                 if d <= radius {
                     constraints.push(PrivacyConstraint { i, l, dist: d });
                 }

@@ -56,6 +56,14 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// The number of whole bucket widths in `epsilon`, floored: the one
+/// rounding rule of the ε grid, shared by [`CoreShared::bucket`] and
+/// the trace ledger. The nudge keeps exact multiples (5.0 / 0.25) from
+/// flooring into the bucket below through float error.
+pub(crate) fn grid_steps(epsilon: f64, width: f64) -> f64 {
+    (epsilon / width + 1e-9).floor()
+}
+
 /// Per-shard counters accumulated under the table lock and published
 /// to the `vlp-obs` registry on [`CoreShared::flush_metrics`] — the
 /// hot path never touches the global registry mutex.
@@ -400,9 +408,7 @@ impl CoreShared {
             epsilon >= width,
             "requested epsilon {epsilon} is below the bucket width {width}"
         );
-        // The nudge keeps exact multiples (5.0 / 0.25) from flooring
-        // into the bucket below through float error.
-        let bucket = (epsilon / width + 1e-9).floor() as u64;
+        let bucket = grid_steps(epsilon, width) as u64;
         (bucket, bucket as f64 * width)
     }
 
@@ -710,15 +716,6 @@ impl CoreShared {
     /// accounting is disabled.
     pub(crate) fn budget_spent(&self, worker: WorkerId) -> Option<f64> {
         self.accountant.as_ref().map(|a| lock(a).spent(worker))
-    }
-
-    /// The trace-budget ledger as a sorted `(vehicle, spent ε)` list;
-    /// empty when accounting is disabled.
-    pub(crate) fn budget_ledger(&self) -> Vec<(WorkerId, f64)> {
-        self.accountant
-            .as_ref()
-            .map(|a| lock(a).entries())
-            .unwrap_or_default()
     }
 
     /// Swaps shard `s`'s engine for one with the new worker prior

@@ -685,12 +685,6 @@ impl ServiceHandle {
     pub fn budget_spent(&self, worker: WorkerId) -> Option<f64> {
         self.shared.budget_spent(worker)
     }
-
-    /// The whole trace-budget ledger — see
-    /// [`MechanismService::budget_ledger`].
-    pub fn budget_ledger(&self) -> Vec<(WorkerId, f64)> {
-        self.shared.budget_ledger()
-    }
 }
 
 /// Per-shard task queue state (assignment side; not touched by the
@@ -822,16 +816,6 @@ impl MechanismService {
             .map(Arc::clone)
     }
 
-    /// Number of mechanisms currently held in the stale stores.
-    pub fn stale_mechanisms(&self) -> usize {
-        self.core
-            .shared
-            .shards
-            .iter()
-            .map(|shard| lock(&shard.table).stale.len())
-            .sum()
-    }
-
     /// The stale mechanism for shard `s` at `epsilon`'s bucket, if one
     /// is held, with the epoch it was demoted at. In locally-relevant
     /// mode this addresses neighborhood `0`'s entry.
@@ -957,14 +941,6 @@ impl MechanismService {
     /// a vehicle that has not been served an accounted report yet.
     pub fn budget_spent(&self, worker: WorkerId) -> Option<f64> {
         self.core.shared.budget_spent(worker)
-    }
-
-    /// The whole trace-budget ledger as a sorted
-    /// `(vehicle, cumulative ε)` list — empty when accounting is
-    /// disabled. The audit surface `bench_traces` checks the
-    /// cumulative-ε-≤-budget gate against.
-    pub fn budget_ledger(&self) -> Vec<(WorkerId, f64)> {
-        self.core.shared.budget_ledger()
     }
 
     /// Updates shard `s`'s worker prior (copy-on-write: in-flight

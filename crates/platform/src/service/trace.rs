@@ -34,6 +34,7 @@
 
 use std::collections::HashMap;
 
+use super::core::grid_steps;
 use crate::WorkerId;
 
 /// Per-vehicle trace-budget accounting for continuous serving
@@ -273,13 +274,6 @@ impl TraceLedger {
         }
     }
 
-    /// Floors `epsilon` onto the bucket grid — the same round-down
-    /// (never less private) the serving core applies, with the same
-    /// nudge keeping exact multiples out of the bucket below.
-    fn floor_to_grid(epsilon: f64, width: f64) -> f64 {
-        (epsilon / width + 1e-9).floor() * width
-    }
-
     /// Admits or refuses one report for `worker` requesting
     /// `requested` ε, against a service bucket grid of `width`. A
     /// granted ε is already canonical (grid-floored) and is
@@ -289,7 +283,7 @@ impl TraceLedger {
     pub(crate) fn admit(&mut self, worker: WorkerId, requested: f64, width: f64) -> Admission {
         let spent = self.spent.get(&worker).copied().unwrap_or(0.0);
         let raw = self.config.throttled(requested, spent);
-        let granted = Self::floor_to_grid(raw, width);
+        let granted = grid_steps(raw, width) * width;
         if granted < width {
             self.stats.refusals += 1;
             let remaining = (self.config.trace_budget - spent).max(0.0);
@@ -304,7 +298,7 @@ impl TraceLedger {
         self.spent.insert(worker, spent + granted);
         Admission::Granted {
             epsilon: granted,
-            throttled: granted + 1e-12 < Self::floor_to_grid(requested, width),
+            throttled: granted + 1e-12 < grid_steps(requested, width) * width,
         }
     }
 
@@ -328,13 +322,6 @@ impl TraceLedger {
     /// Cumulative ε charged (or currently reserved) for `worker`.
     pub(crate) fn spent(&self, worker: WorkerId) -> f64 {
         self.spent.get(&worker).copied().unwrap_or(0.0)
-    }
-
-    /// The ledger as a sorted `(vehicle, spent ε)` list.
-    pub(crate) fn entries(&self) -> Vec<(WorkerId, f64)> {
-        let mut out: Vec<(WorkerId, f64)> = self.spent.iter().map(|(&w, &e)| (w, e)).collect();
-        out.sort_by_key(|&(w, _)| w.0);
-        out
     }
 
     /// Mean ledger fill fraction across vehicles with any spend —
@@ -477,7 +464,6 @@ mod tests {
         let mut l = ledger(4.0, 0.9);
         let _ = l.admit(WorkerId(9), 1.0, W);
         let _ = l.admit(WorkerId(2), 3.0, W);
-        assert_eq!(l.entries(), vec![(WorkerId(2), 3.0), (WorkerId(9), 1.0)]);
         assert!((l.mean_fill() - 0.5).abs() < 1e-12);
     }
 

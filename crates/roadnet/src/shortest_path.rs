@@ -6,6 +6,12 @@
 //! `u'_i`). [`ShortestPathTree`] supports both through
 //! [`TreeDirection`]; the In tree is a Dijkstra run over the reversed
 //! graph.
+//!
+//! Every search here — trees, the all-pairs matrix, bounded balls and
+//! target-terminated runs — is the same Dijkstra loop with a different
+//! stop rule. A run that stops early has performed an exact prefix of
+//! the unbounded run's operations, so every distance it settles is
+//! bit-identical to the one a full run or the all-pairs matrix holds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -14,7 +20,8 @@ use crate::graph::{EdgeId, NodeId, RoadGraph};
 
 /// Telemetry metric names recorded by the shortest-path machinery.
 pub mod metrics {
-    /// Counter: Dijkstra runs (`ShortestPathTree::build` calls).
+    /// Counter: single-source Dijkstra runs (one per tree, ball or
+    /// targeted run, and one per source of an all-pairs build).
     pub const DIJKSTRA_RUNS: &str = "roadnet.dijkstra.runs";
     /// Counter: total nodes settled (popped with a final distance)
     /// across all Dijkstra runs.
@@ -56,6 +63,124 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// When a [`Dijkstra::run`] stops popping its heap.
+enum Stop<'a> {
+    /// Settle every reachable node.
+    Never,
+    /// Stop at the first pop beyond this distance.
+    Radius(f64),
+    /// Stop at the first pop after every node flagged in `is_target`
+    /// is settled; `remaining` counts the flagged nodes not yet settled.
+    Targets {
+        is_target: &'a [bool],
+        remaining: usize,
+    },
+}
+
+/// Dijkstra working memory — distances, settled flags, the heap and,
+/// when asked for, each node's tree edge — re-initialized, not
+/// reallocated, by every run.
+#[derive(Default)]
+struct Dijkstra {
+    dist: Vec<f64>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Per node, the edge of its last distance improvement (its tree
+    /// edge once settled); kept only when `Some`.
+    via: Option<Vec<Option<EdgeId>>>,
+}
+
+impl Dijkstra {
+    /// The Dijkstra loop every search in this module runs: from `root`
+    /// under `metric` until `stop`, calling `on_settle(v, d)` for each
+    /// node as it settles (ascending distance, ties by ascending node
+    /// id). Leaves the distances in `self.dist` and returns the number
+    /// of settled nodes.
+    fn run(
+        &mut self,
+        graph: &RoadGraph,
+        root: usize,
+        metric: BallMetric,
+        mut stop: Stop,
+        mut on_settle: impl FnMut(usize, f64),
+    ) -> u64 {
+        let n = graph.node_count();
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.settled.clear();
+        self.settled.resize(n, false);
+        if let Some(via) = &mut self.via {
+            via.clear();
+            via.resize(n, None);
+        }
+        self.heap.clear();
+        self.dist[root] = 0.0;
+        self.heap.push(HeapEntry {
+            dist: 0.0,
+            node: root,
+        });
+        let mut settled_count = 0u64;
+        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
+            match stop {
+                Stop::Radius(radius) if d > radius => break,
+                Stop::Targets { remaining: 0, .. } => break,
+                _ => {}
+            }
+            if self.settled[v] {
+                continue;
+            }
+            self.settled[v] = true;
+            settled_count += 1;
+            if let Stop::Targets {
+                is_target,
+                remaining,
+            } = &mut stop
+            {
+                if is_target[v] {
+                    *remaining -= 1;
+                }
+            }
+            on_settle(v, d);
+            self.relax_neighbors(graph, metric, v, d);
+        }
+        settled_count
+    }
+
+    /// Relaxes the edges at `v` (settled at `d`) under `metric`:
+    /// out-edges forwards, in-edges backwards, out before in for
+    /// [`BallMetric::Undirected`].
+    fn relax_neighbors(&mut self, graph: &RoadGraph, metric: BallMetric, v: usize, d: f64) {
+        let node = NodeId(v);
+        let (forward, backward): (&[EdgeId], &[EdgeId]) = match metric {
+            BallMetric::Out => (graph.out_edges(node), &[]),
+            BallMetric::In => (&[], graph.in_edges(node)),
+            BallMetric::Undirected => (graph.out_edges(node), graph.in_edges(node)),
+        };
+        for (edges, is_forward) in [(forward, true), (backward, false)] {
+            for &eid in edges {
+                let e = graph.edge(eid);
+                let w = if is_forward { e.end().0 } else { e.start().0 };
+                let nd = d + e.length();
+                if nd < self.dist[w] {
+                    self.dist[w] = nd;
+                    if let Some(via) = &mut self.via {
+                        via[w] = Some(eid);
+                    }
+                    self.heap.push(HeapEntry { dist: nd, node: w });
+                }
+            }
+        }
+    }
+}
+
+/// Adds `runs` Dijkstra runs that settled `settled` nodes in total to
+/// the global counters.
+fn record_runs(runs: u64, settled: u64) {
+    let obs = vlp_obs::global();
+    obs.incr(metrics::DIJKSTRA_RUNS, runs);
+    obs.incr(metrics::SETTLED_NODES, settled);
+}
+
 /// A shortest-path tree rooted at one connection.
 ///
 /// Stores, for each node, the travel distance to/from the root and the
@@ -75,49 +200,21 @@ pub struct ShortestPathTree {
 impl ShortestPathTree {
     /// Runs Dijkstra from (`Out`) or towards (`In`) `root`.
     pub fn build(graph: &RoadGraph, root: NodeId, direction: TreeDirection) -> Self {
-        let n = graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut via: Vec<Option<EdgeId>> = vec![None; n];
-        let mut settled = vec![false; n];
-        let mut heap = BinaryHeap::new();
-        dist[root.0] = 0.0;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: root.0,
-        });
-        let mut settled_count = 0u64;
-        while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-            if settled[v] {
-                continue;
-            }
-            settled[v] = true;
-            settled_count += 1;
-            let edges: &[EdgeId] = match direction {
-                TreeDirection::Out => graph.out_edges(NodeId(v)),
-                TreeDirection::In => graph.in_edges(NodeId(v)),
-            };
-            for &eid in edges {
-                let e = graph.edge(eid);
-                let w = match direction {
-                    TreeDirection::Out => e.end().0,
-                    TreeDirection::In => e.start().0,
-                };
-                let nd = d + e.length();
-                if nd < dist[w] {
-                    dist[w] = nd;
-                    via[w] = Some(eid);
-                    heap.push(HeapEntry { dist: nd, node: w });
-                }
-            }
-        }
-        let obs = vlp_obs::global();
-        obs.incr(metrics::DIJKSTRA_RUNS, 1);
-        obs.incr(metrics::SETTLED_NODES, settled_count);
+        let metric = match direction {
+            TreeDirection::Out => BallMetric::Out,
+            TreeDirection::In => BallMetric::In,
+        };
+        let mut search = Dijkstra {
+            via: Some(Vec::new()),
+            ..Dijkstra::default()
+        };
+        let settled = search.run(graph, root.0, metric, Stop::Never, |_, _| {});
+        record_runs(1, settled);
         Self {
             root,
             direction,
-            dist,
-            via,
+            dist: search.dist,
+            via: search.via.expect("tree runs record tree edges"),
         }
     }
 
@@ -181,55 +278,6 @@ impl ShortestPathTree {
     }
 }
 
-/// Reusable per-thread Dijkstra working memory: one distance array, one
-/// settled bitmap, and one heap, reset (not reallocated) between runs.
-/// The relaxation loop in [`DijkstraScratch::run_out`] mirrors
-/// [`ShortestPathTree::build`] operation for operation, so the distances
-/// it produces are bit-identical to a fresh tree build.
-struct DijkstraScratch {
-    dist: Vec<f64>,
-    settled: Vec<bool>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl DijkstraScratch {
-    fn new(n: usize) -> Self {
-        Self {
-            dist: vec![f64::INFINITY; n],
-            settled: vec![false; n],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Out-direction Dijkstra from `s`, leaving the distances in
-    /// `self.dist`. Returns the number of settled nodes.
-    fn run_out(&mut self, graph: &RoadGraph, s: usize) -> u64 {
-        self.dist.iter_mut().for_each(|d| *d = f64::INFINITY);
-        self.settled.iter_mut().for_each(|x| *x = false);
-        self.heap.clear();
-        self.dist[s] = 0.0;
-        self.heap.push(HeapEntry { dist: 0.0, node: s });
-        let mut settled_count = 0u64;
-        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
-            if self.settled[v] {
-                continue;
-            }
-            self.settled[v] = true;
-            settled_count += 1;
-            for &eid in graph.out_edges(NodeId(v)) {
-                let e = graph.edge(eid);
-                let w = e.end().0;
-                let nd = d + e.length();
-                if nd < self.dist[w] {
-                    self.dist[w] = nd;
-                    self.heap.push(HeapEntry { dist: nd, node: w });
-                }
-            }
-        }
-        settled_count
-    }
-}
-
 /// Which distance a bounded Dijkstra exploration measures.
 ///
 /// `Out`/`In` mirror [`TreeDirection`]; `Undirected` treats every
@@ -250,48 +298,6 @@ pub enum BallMetric {
     Undirected,
 }
 
-/// Relaxes the neighbors of `v` (at distance `d`) under `metric`,
-/// operation-for-operation identical to [`ShortestPathTree::build`] for
-/// `Out`/`In` so settled distances stay bit-identical to full runs.
-fn relax_neighbors(
-    graph: &RoadGraph,
-    metric: BallMetric,
-    v: usize,
-    d: f64,
-    dist: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
-    let mut step = |eid: EdgeId, forward: bool| {
-        let e = graph.edge(eid);
-        let w = if forward { e.end().0 } else { e.start().0 };
-        let nd = d + e.length();
-        if nd < dist[w] {
-            dist[w] = nd;
-            heap.push(HeapEntry { dist: nd, node: w });
-        }
-    };
-    match metric {
-        BallMetric::Out => {
-            for &eid in graph.out_edges(NodeId(v)) {
-                step(eid, true);
-            }
-        }
-        BallMetric::In => {
-            for &eid in graph.in_edges(NodeId(v)) {
-                step(eid, false);
-            }
-        }
-        BallMetric::Undirected => {
-            for &eid in graph.out_edges(NodeId(v)) {
-                step(eid, true);
-            }
-            for &eid in graph.in_edges(NodeId(v)) {
-                step(eid, false);
-            }
-        }
-    }
-}
-
 /// Radius-bounded single-source Dijkstra: every node whose distance
 /// from (or to, or metric-closure-from — see [`BallMetric`]) `root` is
 /// at most `radius`, with its exact distance, in settling order
@@ -309,30 +315,11 @@ pub fn bounded_ball(
     metric: BallMetric,
 ) -> Vec<(NodeId, f64)> {
     assert!(radius >= 0.0, "ball radius must be non-negative");
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
     let mut ball = Vec::new();
-    dist[root.0] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: root.0,
+    let settled = Dijkstra::default().run(graph, root.0, metric, Stop::Radius(radius), |v, d| {
+        ball.push((NodeId(v), d))
     });
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if d > radius {
-            break;
-        }
-        if settled[v] {
-            continue;
-        }
-        settled[v] = true;
-        ball.push((NodeId(v), d));
-        relax_neighbors(graph, metric, v, d, &mut dist, &mut heap);
-    }
-    let obs = vlp_obs::global();
-    obs.incr(metrics::DIJKSTRA_RUNS, 1);
-    obs.incr(metrics::SETTLED_NODES, ball.len() as u64);
+    record_runs(1, settled);
     ball
 }
 
@@ -347,8 +334,7 @@ pub fn distances_to_targets(
     targets: &[NodeId],
     metric: BallMetric,
 ) -> Vec<f64> {
-    let n = graph.node_count();
-    let mut is_target = vec![false; n];
+    let mut is_target = vec![false; graph.node_count()];
     let mut remaining = 0usize;
     for t in targets {
         if !is_target[t.0] {
@@ -356,33 +342,14 @@ pub fn distances_to_targets(
             remaining += 1;
         }
     }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    let mut settled_count = 0u64;
-    dist[root.0] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: root.0,
-    });
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if remaining == 0 {
-            break;
-        }
-        if settled[v] {
-            continue;
-        }
-        settled[v] = true;
-        settled_count += 1;
-        if is_target[v] {
-            remaining -= 1;
-        }
-        relax_neighbors(graph, metric, v, d, &mut dist, &mut heap);
-    }
-    let obs = vlp_obs::global();
-    obs.incr(metrics::DIJKSTRA_RUNS, 1);
-    obs.incr(metrics::SETTLED_NODES, settled_count);
-    targets.iter().map(|t| dist[t.0]).collect()
+    let mut search = Dijkstra::default();
+    let stop = Stop::Targets {
+        is_target: &is_target,
+        remaining,
+    };
+    let settled = search.run(graph, root.0, metric, stop, |_, _| {});
+    record_runs(1, settled);
+    targets.iter().map(|t| search.dist[t.0]).collect()
 }
 
 /// All-pairs node-to-node travel distances (`d_G` restricted to `V`).
@@ -432,11 +399,12 @@ impl NodeDistances {
             for (t, rows) in dist.chunks_mut(chunk * n).enumerate() {
                 let lo = t * chunk;
                 handles.push(scope.spawn(move || {
-                    let mut scratch = DijkstraScratch::new(n);
+                    let mut search = Dijkstra::default();
                     let mut settled = 0u64;
                     for (off, row) in rows.chunks_mut(n).enumerate() {
-                        settled += scratch.run_out(graph, lo + off);
-                        row.copy_from_slice(&scratch.dist);
+                        settled +=
+                            search.run(graph, lo + off, BallMetric::Out, Stop::Never, |_, _| {});
+                        row.copy_from_slice(&search.dist);
                     }
                     settled
                 }));
@@ -448,9 +416,7 @@ impl NodeDistances {
         // One flush for the whole build (same counter totals as n
         // individual tree builds, and deterministic across thread
         // counts).
-        let obs = vlp_obs::global();
-        obs.incr(metrics::DIJKSTRA_RUNS, n as u64);
-        obs.incr(metrics::SETTLED_NODES, settled_total);
+        record_runs(n as u64, settled_total);
         Self { n, dist }
     }
 
