@@ -4,10 +4,12 @@
 //! `artifacts/bench_chaos.json`.
 //!
 //! The committed schedule (see [`SCHEDULE`]) combines every failure
-//! family the ladder is built for: ~30% solver faults on both the
-//! dense and the warm-started LP paths, ~15% pricing panics, a
-//! six-batch blackout of shard [`BLACKOUT_SHARD`], an evict storm
-//! every six batches, and deadline jitter every nine. The run is
+//! family the ladder is built for: ~30% solver faults on the
+//! warm-started LP path (`lp.resolve.fault`; the service never runs
+//! the one-shot `LinearProgram::solve`, so `lp.solve.fault` would
+//! inject nothing), ~15% pricing panics, a six-batch blackout of shard
+//! [`BLACKOUT_SHARD`], an evict storm every six batches, and deadline
+//! jitter every nine. The run is
 //! deterministic — fault decisions are pure functions of the plan
 //! seed — so the gates below are exact, not statistical:
 //!
@@ -93,9 +95,9 @@ const LOCAL_RHO: f64 = 0.4;
 const LOCAL_RADIUS: f64 = 0.5;
 
 /// The committed failure schedule.
-const SCHEDULE: &str = "lp.solve.fault=ratio:0.3; lp.resolve.fault=ratio:0.3; \
-     cg.pricing.panic=ratio:0.15; service.shard.blackout.1=window:6..12; \
-     service.cache.evict_storm=every:6; service.deadline.jitter=every:9";
+const SCHEDULE: &str = "lp.resolve.fault=ratio:0.3; cg.pricing.panic=ratio:0.15; \
+     service.shard.blackout.1=window:6..12; service.cache.evict_storm=every:6; \
+     service.deadline.jitter=every:9";
 
 /// The tier-ladder schedule: per-batch deadline and the rung it must
 /// select under [`service_config`]'s `TierPolicy` floors (exact ≥

@@ -42,12 +42,14 @@ const PIVOT_BUDGET: u64 = 75_000;
 
 /// Committed budget for `roadnet.dijkstra.runs` across the scenario. The
 /// count is exact (409 single-source runs), so the budget leaves under
-/// 3% headroom.
+/// 3% headroom. The full-mode scenario runs only shortest-path trees and
+/// all-pairs builds, so this budget and [`SETTLED_BUDGET`] hold those;
+/// bounded balls and targeted runs are held by `bench_local`'s budgets.
 const DIJKSTRA_RUNS_BUDGET: u64 = 420;
 
 /// Committed budget for `roadnet.dijkstra.settled_nodes` across the
-/// scenario. The count is exact (18,769 settled nodes), so the budget
-/// leaves under 3% headroom.
+/// scenario's trees and all-pairs builds. The count is exact (18,769
+/// settled nodes), so the budget leaves under 3% headroom.
 const SETTLED_BUDGET: u64 = 19_200;
 
 /// Runs the fixed scenario against a freshly reset global registry and

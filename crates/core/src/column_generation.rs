@@ -26,15 +26,23 @@
 //!
 //! The LP structure barely changes across iterations: every pricing
 //! polytope `Λ_l` is *fixed* (only the objective `c_l − π` moves), and
-//! the restricted master only ever *gains* columns. With
-//! `warm_start: true` (the default) the loop therefore holds one
-//! persistent [`IncrementalLp`] per pricing block plus one for the
-//! master: pricing resolves re-price the previous optimal basis
+//! the restricted master only ever *gains* columns. Each LP is
+//! therefore built once per run as a [`LinearProgram`]: the pricing
+//! polytope (shared by every block) by `pricing_program`, the
+//! restricted master over the seeded pool by `master_program`.
+//!
+//! With `warm_start: true` (the default) the loop turns those programs
+//! into persistent [`IncrementalLp`]s, one per pricing block plus one
+//! for the master: pricing resolves re-price the previous optimal basis
 //! instead of re-pivoting from the slack basis, and master resolves
 //! skip phase 1 entirely after the first solve (appended columns enter
-//! non-basic, so the old basis stays feasible). `warm_start: false`
-//! falls back to building a fresh [`LinearProgram`] per solve — the
-//! cold baseline the pivot-budget benchmarks compare against.
+//! non-basic, so the old basis stays feasible). `warm_start: false` is
+//! the cold reference: every master is rebuilt from the pool and every
+//! pricing LP is a clone of the polytope with its objective set, each
+//! solved by [`LinearProgram::solve`] — the baseline the warm engine is
+//! tested against bit for bit. Pricing fans the `K` blocks out over
+//! threads in both modes; block `l` always runs in slot `l`, so results
+//! do not depend on the thread count.
 
 use std::time::{Duration, Instant};
 
@@ -80,6 +88,7 @@ pub mod metrics {
 
 use crate::cost::CostMatrix;
 use crate::error::VlpError;
+use crate::fan_out;
 use crate::mechanism::Mechanism;
 use crate::privacy::PrivacySpec;
 
@@ -310,7 +319,7 @@ pub fn solve_column_generation(
             });
         }
     }
-    let threads = pricing_threads(k, opts.parallel);
+    let threads = fan_out::threads(k, opts.parallel);
 
     // Initial restricted master. Two families of provably feasible
     // columns seed every block:
@@ -357,14 +366,13 @@ pub fn solve_column_generation(
     }
 
     let mut diag = CgDiagnostics::default();
-    // Persistent warm solvers: one master, one per pricing block (the
-    // block solvers share a template so the constraint assembly cost is
-    // paid once). `None` entries materialize lazily on first use.
+    let pricing = pricing_program(k, spec)?;
+    // Persistent warm solvers: one master, one per pricing block, each
+    // built from its program on first use. Block `l` always lives in
+    // slot `l`.
     let mut warm_master: Option<IncrementalLp> = None;
-    let mut pricers: Option<BlockPricers> = opts
-        .warm_start
-        .then(|| BlockPricers::build(k, spec))
-        .transpose()?;
+    let mut pricers: Option<Vec<Option<IncrementalLp>>> =
+        opts.warm_start.then(|| (0..k).map(|_| None).collect());
     // Fallback iterate: λ = 1 on each block's uniform column (always
     // feasible) until a master solve succeeds.
     let mut last_lambda: Vec<f64> = {
@@ -409,13 +417,13 @@ pub fn solve_column_generation(
         let master_result = if opts.warm_start {
             let lp = match warm_master.as_mut() {
                 Some(lp) => lp,
-                None => warm_master.insert(build_master(k, &pool)?),
+                None => warm_master.insert(IncrementalLp::from_program(&master_program(k, &pool)?)),
             };
             let r = lp.resolve().map_err(VlpError::from);
             diag.absorb(&lp.last_stats(), true);
             r
         } else {
-            solve_master_cold(k, &pool)
+            master_program(k, &pool).and_then(|lp| lp.solve().map_err(VlpError::from))
         };
         diag.master_time += master_started.elapsed();
         let sol = match master_result {
@@ -473,7 +481,7 @@ pub fn solve_column_generation(
                     .collect(),
                 _ => pi.to_vec(),
             };
-            let priced = price_all(cost, spec, &pihat, threads, pricers.as_mut())?;
+            let priced = price_all(cost, &pricing, &pihat, threads, pricers.as_deref_mut())?;
             for (_, _, stats) in &priced {
                 if let Some(stats) = stats {
                     diag.absorb(stats, false);
@@ -583,41 +591,30 @@ fn chain_distances(k: usize, spec: &PrivacySpec, threads: usize) -> Vec<f64> {
     for c in &spec.constraints {
         adj[c.i].push((c.l, c.dist));
     }
-    let adj = &adj;
     let mut out = vec![f64::INFINITY; k * k];
-    let chunk = k.div_ceil(threads.max(1));
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, slice) in out.chunks_mut(chunk * k).enumerate() {
-            let lo = t * chunk;
-            handles.push(scope.spawn(move || {
-                let mut dist = vec![f64::INFINITY; k];
-                let mut heap = BinaryHeap::new();
-                for (off, row) in slice.chunks_mut(k).enumerate() {
-                    let j = lo + off;
-                    dist.iter_mut().for_each(|d| *d = f64::INFINITY);
-                    dist[j] = 0.0;
-                    heap.push(Reverse((OrderedF64(0.0), j)));
-                    while let Some(Reverse((OrderedF64(d), v))) = heap.pop() {
-                        if d > dist[v] + 1e-15 {
-                            continue;
-                        }
-                        for &(w, len) in &adj[v] {
-                            let nd = d + len;
-                            if nd < dist[w] - 1e-15 {
-                                dist[w] = nd;
-                                heap.push(Reverse((OrderedF64(nd), w)));
-                            }
-                        }
-                    }
-                    row.copy_from_slice(&dist);
+    let () = fan_out::run(
+        threads,
+        &mut out.chunks_mut(k).collect::<Vec<_>>(),
+        || (vec![f64::INFINITY; k], BinaryHeap::new()),
+        |j, row, (dist, heap)| {
+            dist.fill(f64::INFINITY);
+            dist[j] = 0.0;
+            heap.push(Reverse((OrderedF64(0.0), j)));
+            while let Some(Reverse((OrderedF64(d), v))) = heap.pop() {
+                if d > dist[v] + 1e-15 {
+                    continue;
                 }
-            }));
-        }
-        for h in handles {
-            h.join().expect("chain-distance thread panicked");
-        }
-    });
+                for &(w, len) in &adj[v] {
+                    let nd = d + len;
+                    if nd < dist[w] - 1e-15 {
+                        dist[w] = nd;
+                        heap.push(Reverse((OrderedF64(nd), w)));
+                    }
+                }
+            }
+            row.copy_from_slice(dist);
+        },
+    );
     out
 }
 
@@ -631,40 +628,27 @@ fn seed_candidates(
     betas: &[f64],
     threads: usize,
 ) -> Vec<(Vec<f64>, f64)> {
-    let n = betas.len() * k;
-    let mut out: Vec<Option<(Vec<f64>, f64)>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads.max(1));
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, slice) in out.chunks_mut(chunk).enumerate() {
-            let lo = t * chunk;
-            handles.push(scope.spawn(move || {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    let idx = lo + off;
-                    let beta = betas[idx / k];
-                    let l = idx % k;
-                    let z: Vec<f64> = (0..k)
-                        .map(|i| {
-                            let d = chain[l * k + i];
-                            if d.is_finite() {
-                                (-beta * d).exp().max(FLOOR)
-                            } else {
-                                FLOOR
-                            }
-                        })
-                        .collect();
-                    let c = column_cost(cost, l, &z);
-                    *slot = Some((z, c));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("seed-candidate thread panicked");
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("every candidate built"))
-        .collect()
+    fan_out::run(
+        threads,
+        &mut vec![(); betas.len() * k],
+        || (),
+        |idx, _, _| {
+            let beta = betas[idx / k];
+            let l = idx % k;
+            let z: Vec<f64> = (0..k)
+                .map(|i| {
+                    let d = chain[l * k + i];
+                    if d.is_finite() {
+                        (-beta * d).exp().max(FLOOR)
+                    } else {
+                        FLOOR
+                    }
+                })
+                .collect();
+            let c = column_cost(cost, l, &z);
+            (z, c)
+        },
+    )
 }
 
 /// Total-order wrapper for non-NaN floats in the Dijkstra heap.
@@ -699,11 +683,20 @@ fn master_column_spec(k: usize, col: &Column) -> ColumnSpec {
     }
 }
 
-/// Master constraint rows, built in one pass over the column pool:
-/// coupling rows `Σ λ_t ẑ^t_{row} = 1` from the columns themselves and
-/// convexity rows `Σ_{t ∈ block l} λ_t = 1` straight from the per-block
-/// index.
-fn master_rows(k: usize, pool: &ColumnPool) -> Vec<Vec<(usize, f64)>> {
+/// The restricted master over the current pool: objective `Σ_t cost_t
+/// λ_t`, coupling rows `Σ λ_t ẑ^t_{row} = 1` from the columns
+/// themselves and convexity rows `Σ_{t ∈ block l} λ_t = 1` straight from
+/// the per-block index, built in one pass over the pool. Its solution
+/// has λ in column order and duals `[π (K rows); μ (K rows)]`.
+fn master_program(k: usize, pool: &ColumnPool) -> Result<LinearProgram, VlpError> {
+    let mut lp = LinearProgram::new(pool.len());
+    let obj: Vec<(usize, f64)> = pool
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(t, c)| (t, c.cost))
+        .collect();
+    lp.set_objective(&obj)?;
     let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 2 * k];
     for (t, c) in pool.columns.iter().enumerate() {
         for (row, &v) in c.z.iter().enumerate() {
@@ -715,173 +708,98 @@ fn master_rows(k: usize, pool: &ColumnPool) -> Vec<Vec<(usize, f64)>> {
     for (l, members) in pool.by_block.iter().enumerate() {
         rows[k + l] = members.iter().map(|&t| (t, 1.0)).collect();
     }
-    rows
-}
-
-/// Builds the warm-startable restricted master over the current pool.
-fn build_master(k: usize, pool: &ColumnPool) -> Result<IncrementalLp, VlpError> {
-    let mut lp = IncrementalLp::new(pool.len());
-    let obj: Vec<(usize, f64)> = pool
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(t, c)| (t, c.cost))
-        .collect();
-    lp.set_objective(&obj)?;
-    for row in master_rows(k, pool) {
+    for row in rows {
         lp.add_constraint(&row, Relation::Eq, 1.0)?;
     }
     Ok(lp)
-}
-
-/// Solves the restricted master from scratch (`warm_start: false`
-/// baseline) and returns its LP solution: variables λ in column order,
-/// duals `[π (K rows); μ (K rows)]`.
-fn solve_master_cold(k: usize, pool: &ColumnPool) -> Result<lpsolve::Solution, VlpError> {
-    let mut lp = LinearProgram::new(pool.len());
-    let obj: Vec<(usize, f64)> = pool
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(t, c)| (t, c.cost))
-        .collect();
-    lp.set_objective(&obj)?;
-    for row in master_rows(k, pool) {
-        lp.add_constraint(&row, Relation::Eq, 1.0)?;
-    }
-    Ok(lp.solve()?)
 }
 
 /// A priced block: the subproblem's optimal value, its arg-min, and —
 /// on the warm path — the resolve statistics.
 type PricedBlock = (f64, Vec<f64>, Option<ResolveStats>);
 
-/// Number of worker threads the pricing fan-out will use for a
-/// `K`-block instance.
-fn pricing_threads(k: usize, parallel: bool) -> usize {
-    if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(k.max(1))
-    } else {
-        1
+/// The pricing polytope `Λ_l ∩ {z ≥ FLOOR}` (see [`FLOOR`]), shared by
+/// every block — only the objective `c_l − π` differs — over the
+/// substituted variables `y = z − FLOOR ≥ 0`, which turn every
+/// right-hand side strictly positive: the subproblem needs no phase 1
+/// and its starting basis is non-degenerate.
+fn pricing_program(k: usize, spec: &PrivacySpec) -> Result<LinearProgram, VlpError> {
+    let mut lp = LinearProgram::new(k);
+    for c in &spec.constraints {
+        // z_i − α z_k ≤ 0 with z = y + FLOOR:
+        // y_i − α y_k ≤ (α − 1)·FLOOR.
+        let bound = spec.bound(c);
+        lp.add_constraint(
+            &[(c.i, 1.0), (c.l, -bound)],
+            Relation::Le,
+            (bound - 1.0) * FLOOR,
+        )?;
     }
-}
-
-/// Persistent pricing solvers, one per block. Every block shares the
-/// same constraint matrix (only the objective `c_l − π` differs), so a
-/// single never-solved template is assembled once and cloned into a
-/// block's slot on first use; thereafter the block's solver re-prices
-/// its own previous optimal basis each round. Block `l` always lives in
-/// slot `l`, so results are independent of how blocks are distributed
-/// over threads.
-struct BlockPricers {
-    template: IncrementalLp,
-    slots: Vec<Option<IncrementalLp>>,
-}
-
-impl BlockPricers {
-    fn build(k: usize, spec: &PrivacySpec) -> Result<Self, VlpError> {
-        let mut template = IncrementalLp::new(k);
-        for c in &spec.constraints {
-            // z_i − α z_k ≤ 0 with z = y + FLOOR:
-            // y_i − α y_k ≤ (α − 1)·FLOOR.
-            let bound = spec.bound(c);
-            template.add_constraint(
-                &[(c.i, 1.0), (c.l, -bound)],
-                Relation::Le,
-                (bound - 1.0) * FLOOR,
-            )?;
-        }
-        // Box bound making the region a polytope (valid: probabilities
-        // ≤ 1).
-        for i in 0..k {
-            template.add_constraint(&[(i, 1.0)], Relation::Le, 1.0 - FLOOR)?;
-        }
-        Ok(Self {
-            template,
-            slots: (0..k).map(|_| None).collect(),
-        })
+    // Box bound making the region a polytope (valid: probabilities ≤ 1).
+    for i in 0..k {
+        lp.add_constraint(&[(i, 1.0)], Relation::Le, 1.0 - FLOOR)?;
     }
+    Ok(lp)
 }
 
-/// Solves all `K` pricing subproblems, returning per block the optimal
-/// value of `min (c_l − π)·z over Λ_l` and its arg-min. With `pricers`
-/// the persistent warm solvers are used (and updated); without, each
-/// block is a fresh cold [`LinearProgram`].
+/// Solves all `K` pricing subproblems over `pricing`, returning per
+/// block the optimal value of `min (c_l − π)·z over Λ_l` and its
+/// arg-min. With `pricers` each block re-prices its persistent warm
+/// solver (built from `pricing` on first use); without, each block
+/// solves a fresh clone of `pricing` cold.
 fn price_all(
     cost: &CostMatrix,
-    spec: &PrivacySpec,
+    pricing: &LinearProgram,
     pi: &[f64],
     threads: usize,
-    pricers: Option<&mut BlockPricers>,
+    pricers: Option<&mut [Option<IncrementalLp>]>,
 ) -> Result<Vec<PricedBlock>, VlpError> {
-    let k = cost.len();
     match pricers {
-        Some(pricers) => {
-            let template = &pricers.template;
-            if threads <= 1 {
-                return pricers
-                    .slots
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(l, slot)| price_one_warm(cost, pi, l, slot, template))
-                    .collect();
-            }
-            let mut results: Vec<Option<Result<PricedBlock, VlpError>>> =
-                (0..k).map(|_| None).collect();
-            let chunk = k.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, (out, slots)) in results
-                    .chunks_mut(chunk)
-                    .zip(pricers.slots.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let lo = t * chunk;
-                    handles.push(scope.spawn(move || {
-                        for (off, (res, slot)) in out.iter_mut().zip(slots.iter_mut()).enumerate() {
-                            *res = Some(price_one_warm(cost, pi, lo + off, slot, template));
-                        }
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("pricing thread panicked");
-                }
-            });
-            results
-                .into_iter()
-                .map(|r| r.expect("every block priced"))
-                .collect()
-        }
-        None => {
-            if threads <= 1 {
-                return (0..k).map(|l| price_one(cost, spec, pi, l)).collect();
-            }
-            let mut results: Vec<Option<Result<PricedBlock, VlpError>>> =
-                (0..k).map(|_| None).collect();
-            let chunk = k.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, slice) in results.chunks_mut(chunk).enumerate() {
-                    let lo = t * chunk;
-                    handles.push(scope.spawn(move || {
-                        for (off, slot) in slice.iter_mut().enumerate() {
-                            *slot = Some(price_one(cost, spec, pi, lo + off));
-                        }
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("pricing thread panicked");
-                }
-            });
-            results
-                .into_iter()
-                .map(|r| r.expect("every block priced"))
-                .collect()
-        }
+        Some(slots) => fan_out::run(
+            threads,
+            slots,
+            || (),
+            |l, slot, _| {
+                let lp = slot.get_or_insert_with(|| IncrementalLp::from_program(pricing));
+                price_block(cost, pi, l, |obj| {
+                    lp.set_objective(obj)?;
+                    Ok((lp.resolve()?, Some(lp.last_stats())))
+                })
+            },
+        ),
+        None => fan_out::run(
+            threads,
+            &mut vec![(); cost.len()],
+            || (),
+            |l, _, _| {
+                price_block(cost, pi, l, |obj| {
+                    let mut lp = pricing.clone();
+                    lp.set_objective(obj)?;
+                    Ok((lp.solve()?, None))
+                })
+            },
+        ),
     }
+}
+
+/// Prices block `l`: `min (c_l − π)·z` over `Λ_l ∩ {z ≥ FLOOR}`.
+/// `solve` sets the objective on the block's LP over `y = z − FLOOR`
+/// and solves it; the optimum and arg-min are shifted back to `z`.
+fn price_block(
+    cost: &CostMatrix,
+    pi: &[f64],
+    l: usize,
+    solve: impl FnOnce(
+        &[(usize, f64)],
+    ) -> Result<(lpsolve::Solution, Option<ResolveStats>), lpsolve::LpError>,
+) -> Result<PricedBlock, VlpError> {
+    let k = cost.len();
+    let w: Vec<f64> = (0..k).map(|i| cost.get(i, l) - pi[i]).collect();
+    let obj: Vec<(usize, f64)> = w.iter().copied().enumerate().collect();
+    let (sol, stats) = solve(&obj)?;
+    let z: Vec<f64> = sol.x.iter().map(|y| y + FLOOR).collect();
+    let shift: f64 = w.iter().sum::<f64>() * FLOOR;
+    Ok((sol.objective + shift, z, stats))
 }
 
 /// Numerical floor applied to subproblem variables: pricing searches
@@ -902,64 +820,6 @@ fn price_all(
 /// non-degenerate, so pricing subproblems never need artificial
 /// variables — objective swaps can always reuse the previous basis.
 const FLOOR: f64 = 1e-6;
-
-/// Solves one pricing subproblem `sub_l` cold:
-/// `min (c_l − π)·z` over `Λ_l ∩ {z ≥ FLOOR}` (see [`FLOOR`]).
-///
-/// Internally substitutes `y = z − FLOOR ≥ 0`, which turns every
-/// right-hand side strictly positive — the subproblem needs no
-/// phase 1 and its starting basis is non-degenerate.
-fn price_one(
-    cost: &CostMatrix,
-    spec: &PrivacySpec,
-    pi: &[f64],
-    l: usize,
-) -> Result<PricedBlock, VlpError> {
-    let k = cost.len();
-    let mut lp = LinearProgram::new(k);
-    let w: Vec<f64> = (0..k).map(|i| cost.get(i, l) - pi[i]).collect();
-    let obj: Vec<(usize, f64)> = w.iter().copied().enumerate().collect();
-    lp.set_objective(&obj)?;
-    for c in &spec.constraints {
-        // z_i − α z_k ≤ 0 with z = y + FLOOR:
-        // y_i − α y_k ≤ (α − 1)·FLOOR.
-        let bound = spec.bound(c);
-        lp.add_constraint(
-            &[(c.i, 1.0), (c.l, -bound)],
-            Relation::Le,
-            (bound - 1.0) * FLOOR,
-        )?;
-    }
-    // Box bound making the region a polytope (valid: probabilities ≤ 1).
-    for i in 0..k {
-        lp.add_constraint(&[(i, 1.0)], Relation::Le, 1.0 - FLOOR)?;
-    }
-    let sol = lp.solve()?;
-    let z: Vec<f64> = sol.x.iter().map(|y| y + FLOOR).collect();
-    let shift: f64 = w.iter().sum::<f64>() * FLOOR;
-    Ok((sol.objective + shift, z, None))
-}
-
-/// Solves one pricing subproblem against the block's persistent solver
-/// (cloned from `template` on first use): swap the objective in, then
-/// re-price from the previous optimal basis.
-fn price_one_warm(
-    cost: &CostMatrix,
-    pi: &[f64],
-    l: usize,
-    slot: &mut Option<IncrementalLp>,
-    template: &IncrementalLp,
-) -> Result<PricedBlock, VlpError> {
-    let k = cost.len();
-    let solver = slot.get_or_insert_with(|| template.clone());
-    let w: Vec<f64> = (0..k).map(|i| cost.get(i, l) - pi[i]).collect();
-    let obj: Vec<(usize, f64)> = w.iter().copied().enumerate().collect();
-    solver.set_objective(&obj)?;
-    let sol = solver.resolve()?;
-    let z: Vec<f64> = sol.x.iter().map(|y| y + FLOOR).collect();
-    let shift: f64 = w.iter().sum::<f64>() * FLOOR;
-    Ok((sol.objective + shift, z, Some(solver.last_stats())))
-}
 
 #[cfg(test)]
 mod tests {
@@ -1005,23 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_parallel_matches_serial() {
-        let (aux, cost) = instance(0.5);
-        let spec = reduced_spec(&aux, 1.5, f64::INFINITY);
-        let serial = CgOptions {
-            parallel: false,
-            ..CgOptions::default()
-        };
-        let par = CgOptions {
-            parallel: true,
-            ..CgOptions::default()
-        };
-        let (_, o1, _) = solve_column_generation(&cost, &spec, &serial).unwrap();
-        let (_, o2, _) = solve_column_generation(&cost, &spec, &par).unwrap();
-        assert!((o1 - o2).abs() < 1e-6);
-    }
-
-    #[test]
     fn cg_warm_matches_cold() {
         // The warm engine must not change what CG computes, only how
         // fast: identical mechanisms (bit-for-bit) and objective, with
@@ -1064,31 +907,51 @@ mod tests {
         assert!(d2.lp_cold_solves > 0);
     }
 
-    #[test]
-    fn warm_parallel_matches_warm_serial() {
-        // Persistent solvers are pinned to their block slot, so thread
-        // count must not change anything — including pivot counts.
+    /// Block `l` is priced in slot `l` whatever the thread count, so
+    /// threading changes nothing on either engine: not the objective,
+    /// not the mechanism, and on the warm engine not the pivot counts.
+    fn assert_parallel_matches_serial(warm_start: bool) {
         let (aux, cost) = instance(0.5);
         let spec = reduced_spec(&aux, 1.5, f64::INFINITY);
         let serial = CgOptions {
             parallel: false,
+            warm_start,
             ..CgOptions::default()
         };
         let par = CgOptions {
             parallel: true,
+            warm_start,
             ..CgOptions::default()
         };
         let (m1, o1, d1) = solve_column_generation(&cost, &spec, &serial).unwrap();
         let (m2, o2, d2) = solve_column_generation(&cost, &spec, &par).unwrap();
         assert_eq!(o1.to_bits(), o2.to_bits());
-        assert_eq!(d1.pricing_pivots, d2.pricing_pivots);
-        assert_eq!(d1.master_pivots, d2.master_pivots);
+        assert_eq!(d1.iterations, d2.iterations);
+        if warm_start {
+            assert_eq!(d1.pricing_pivots, d2.pricing_pivots);
+            assert_eq!(d1.master_pivots, d2.master_pivots);
+            assert!(d1.pricing_pivots > 0);
+        }
         let k = m1.len();
         for i in 0..k {
             for l in 0..k {
-                assert_eq!(m1.prob(i, l).to_bits(), m2.prob(i, l).to_bits());
+                assert_eq!(
+                    m1.prob(i, l).to_bits(),
+                    m2.prob(i, l).to_bits(),
+                    "entry ({i},{l})"
+                );
             }
         }
+    }
+
+    #[test]
+    fn cg_parallel_matches_serial() {
+        assert_parallel_matches_serial(false);
+    }
+
+    #[test]
+    fn warm_parallel_matches_warm_serial() {
+        assert_parallel_matches_serial(true);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use roadnet::{Location, NodeDistances, RoadGraph};
 use serde::{Deserialize, Serialize};
 
 use crate::discretize::Discretization;
+use crate::fan_out;
 
 /// A probability distribution over the `K` route intervals.
 ///
@@ -191,40 +192,28 @@ impl CostMatrix {
         // cores; each row's accumulation order is unchanged, keeping
         // the result bit-identical for any thread count.
         let mut cost = vec![0.0; k * k];
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(k);
-        let chunk = k.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, rows) in cost.chunks_mut(chunk * k).enumerate() {
-                let lo = t * chunk;
-                handles.push(scope.spawn(move || {
-                    for (off, row) in rows.chunks_mut(k).enumerate() {
-                        let i = lo + off;
-                        let fp = f_p[i];
-                        for l in 0..k {
-                            let mut acc = 0.0;
-                            if fp > 0.0 {
-                                for q in 0..k {
-                                    let fq = f_q[q];
-                                    if fq > 0.0 {
-                                        let di = dist[i * k + q];
-                                        let dl = dist[l * k + q];
-                                        acc += fq * (di - dl).abs();
-                                    }
-                                }
+        let () = fan_out::run(
+            fan_out::threads(k, true),
+            &mut cost.chunks_mut(k).collect::<Vec<_>>(),
+            || (),
+            |i, row, _| {
+                let fp = f_p[i];
+                for l in 0..k {
+                    let mut acc = 0.0;
+                    if fp > 0.0 {
+                        for q in 0..k {
+                            let fq = f_q[q];
+                            if fq > 0.0 {
+                                let di = dist[i * k + q];
+                                let dl = dist[l * k + q];
+                                acc += fq * (di - dl).abs();
                             }
-                            row[l] = fp * acc;
                         }
                     }
-                }));
-            }
-            for h in handles {
-                h.join().expect("cost-matrix thread panicked");
-            }
-        });
+                    row[l] = fp * acc;
+                }
+            },
+        );
         Self { k, cost }
     }
 

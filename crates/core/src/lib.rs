@@ -70,6 +70,7 @@ mod cost;
 mod discretize;
 pub mod dvlp;
 mod error;
+mod fan_out;
 mod instance;
 pub mod local;
 mod mechanism;

@@ -1,7 +1,9 @@
 //! A persistent, warm-startable simplex engine.
 //!
-//! [`IncrementalLp`] owns its tableau and basis *across* solves, which
-//! is exactly the structure column generation needs (§4.3):
+//! [`IncrementalLp`] holds a [`LinearProgram`] (the one problem type:
+//! its data and validation) plus the tableau and basis it keeps
+//! *across* solves, which is exactly the structure column generation
+//! needs (§4.3):
 //!
 //! * **Objective changes** ([`IncrementalLp::set_objective`] then
 //!   [`resolve`](IncrementalLp::resolve)): the constraint rows — and
@@ -25,18 +27,17 @@
 //! what makes warm-started column generation reproducible against its
 //! cold baseline.
 //!
-//! Any numerical failure on the warm path (singular refactorization,
-//! iteration limit) silently falls back to a cold solve of the same
-//! data, so callers see cold-solve semantics with warm-solve speed.
+//! A first resolve, and any resolve after a numerical failure on the
+//! warm path (singular refactorization, iteration limit), runs the same
+//! cold two-phase pipeline as [`LinearProgram::solve`] on the held
+//! program and keeps its optimal tableau as the warm state, so callers
+//! see cold-solve semantics with warm-solve speed.
 
 use std::time::{Duration, Instant};
 
 use crate::error::LpError;
-use crate::problem::{Constraint, LinearProgram, Relation, Solution};
-use crate::simplex::{
-    self, assemble, canonical_finish, extract_solution, metrics, run_phase1, run_phase2,
-    SolveStats, Tableau,
-};
+use crate::problem::{LinearProgram, Relation, Solution};
+use crate::simplex::{self, canonical_finish, extract_solution, metrics, SolveStats, Tableau};
 
 /// What the most recent [`IncrementalLp::resolve`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,10 +104,11 @@ impl WarmState {
     }
 }
 
-/// A linear program (minimization, non-negative variables) whose solver
-/// state persists across solves. See the module docs for the two warm
-/// patterns; rows are frozen after the first solve, columns and the
-/// objective are not.
+/// A [`LinearProgram`] whose solver state persists across solves. The
+/// problem data lives in the held program, so modelling and its
+/// validation are the program's; this type adds the warm tableau. See
+/// the module docs for the two warm patterns; rows are frozen after the
+/// first solve, columns and the objective are not.
 ///
 /// # Examples
 ///
@@ -130,9 +132,7 @@ impl WarmState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalLp {
-    n_vars: usize,
-    objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    lp: LinearProgram,
     warm: Option<WarmState>,
     last_stats: ResolveStats,
 }
@@ -142,11 +142,8 @@ impl IncrementalLp {
     /// zero objective.
     pub fn new(n_vars: usize) -> Self {
         Self {
-            n_vars,
-            objective: vec![0.0; n_vars],
-            constraints: Vec::new(),
-            warm: None,
-            last_stats: ResolveStats::default(),
+            lp: LinearProgram::new(n_vars),
+            ..Self::default()
         }
     }
 
@@ -154,22 +151,19 @@ impl IncrementalLp {
     /// [`LinearProgram`].
     pub fn from_program(lp: &LinearProgram) -> Self {
         Self {
-            n_vars: lp.n_vars(),
-            objective: lp.objective().to_vec(),
-            constraints: lp.constraints().to_vec(),
-            warm: None,
-            last_stats: ResolveStats::default(),
+            lp: lp.clone(),
+            ..Self::default()
         }
     }
 
     /// Number of decision variables (original plus appended columns).
     pub fn n_vars(&self) -> usize {
-        self.n_vars
+        self.lp.n_vars()
     }
 
     /// Number of constraint rows.
     pub fn n_constraints(&self) -> usize {
-        self.constraints.len()
+        self.lp.n_constraints()
     }
 
     /// Statistics for the most recent [`resolve`](Self::resolve).
@@ -182,37 +176,20 @@ impl IncrementalLp {
         self.warm = None;
     }
 
-    /// Replaces the minimization objective from sparse `(index, coeff)`
-    /// pairs. Unmentioned variables get coefficient zero; mentioning an
-    /// index twice accumulates. Keeps the warm basis — objective
-    /// changes never invalidate primal feasibility.
+    /// [`LinearProgram::set_objective`] on the held program. Keeps the
+    /// warm basis — objective changes never invalidate primal
+    /// feasibility.
     ///
     /// # Errors
     ///
-    /// [`LpError::UnknownVariable`] for an out-of-range index,
-    /// [`LpError::NonFiniteValue`] for NaN/infinite coefficients.
+    /// Same as [`LinearProgram::set_objective`].
     pub fn set_objective(&mut self, coeffs: &[(usize, f64)]) -> Result<(), LpError> {
-        for &(i, c) in coeffs {
-            if i >= self.n_vars {
-                return Err(LpError::UnknownVariable {
-                    index: i,
-                    n_vars: self.n_vars,
-                });
-            }
-            if !c.is_finite() {
-                return Err(LpError::NonFiniteValue);
-            }
-        }
-        self.objective.fill(0.0);
-        for &(i, c) in coeffs {
-            self.objective[i] += c;
-        }
-        Ok(())
+        self.lp.set_objective(coeffs)
     }
 
-    /// Adds the constraint `Σ coeffs ⋅ x {relation} rhs`. Rows can only
-    /// be added before the first solve — afterwards the basis owns the
-    /// row structure.
+    /// [`LinearProgram::add_constraint`] on the held program. Rows can
+    /// only be added before the first solve — afterwards the basis owns
+    /// the row structure.
     ///
     /// # Errors
     ///
@@ -228,49 +205,7 @@ impl IncrementalLp {
         if self.warm.is_some() {
             return Err(LpError::StructureFrozen);
         }
-        if !rhs.is_finite() {
-            return Err(LpError::NonFiniteValue);
-        }
-        let mut seen: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
-        for &(i, c) in coeffs {
-            if i >= self.n_vars {
-                return Err(LpError::UnknownVariable {
-                    index: i,
-                    n_vars: self.n_vars,
-                });
-            }
-            if !c.is_finite() {
-                return Err(LpError::NonFiniteValue);
-            }
-            if let Some(slot) = seen.iter_mut().find(|(j, _)| *j == i) {
-                slot.1 += c;
-            } else {
-                seen.push((i, c));
-            }
-        }
-        let id = self.constraints.len();
-        self.constraints.push(Constraint {
-            coeffs: seen,
-            relation,
-            rhs,
-        });
-        Ok(id)
-    }
-
-    /// Appends one column (a new non-negative variable); see
-    /// [`add_columns`](Self::add_columns). Returns the new variable's
-    /// index.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`add_columns`](Self::add_columns).
-    pub fn add_column(&mut self, cost: f64, entries: &[(usize, f64)]) -> Result<usize, LpError> {
-        let v = self.n_vars;
-        self.add_columns(std::slice::from_ref(&ColumnSpec {
-            cost,
-            entries: entries.to_vec(),
-        }))?;
-        Ok(v)
+        self.lp.add_constraint(coeffs, relation, rhs)
     }
 
     /// Appends a batch of columns (new non-negative variables). If a
@@ -284,7 +219,7 @@ impl IncrementalLp {
     /// variant's fields carry the row count), [`LpError::NonFiniteValue`]
     /// for NaN/infinite values. On error nothing is modified.
     pub fn add_columns(&mut self, cols: &[ColumnSpec]) -> Result<(), LpError> {
-        let m = self.constraints.len();
+        let m = self.lp.n_constraints();
         for spec in cols {
             if !spec.cost.is_finite() {
                 return Err(LpError::NonFiniteValue);
@@ -305,18 +240,11 @@ impl IncrementalLp {
         // the problem definition and the tableau append.
         let mut dense_cols: Vec<Vec<f64>> = Vec::with_capacity(cols.len());
         for spec in cols {
-            let v = self.n_vars;
-            self.n_vars += 1;
-            self.objective.push(spec.cost);
             let mut dense = vec![0.0; m];
             for &(row, val) in &spec.entries {
                 dense[row] += val;
             }
-            for (row, &val) in dense.iter().enumerate() {
-                if val != 0.0 {
-                    self.constraints[row].coeffs.push((v, val));
-                }
-            }
+            self.lp.push_column(spec.cost, &dense);
             dense_cols.push(dense);
         }
         if let Some(ws) = self.warm.as_mut() {
@@ -377,7 +305,7 @@ impl IncrementalLp {
         let mut stats = SolveStats::default();
         let mut rs = ResolveStats::default();
         let result = match self.warm.take() {
-            Some(ws) => match Self::resolve_warm(&self.objective, ws, &mut stats) {
+            Some(ws) => match Self::resolve_warm(self.lp.objective(), ws, &mut stats) {
                 Ok((sol, ws)) => {
                     rs.warm = true;
                     rs.phase1_skipped = ws.t.has_artificials();
@@ -439,27 +367,16 @@ impl IncrementalLp {
         Ok((sol, ws))
     }
 
+    /// The cold two-phase solve of the held program; its optimal
+    /// tableau becomes the warm state.
     fn resolve_cold(&mut self, stats: &mut SolveStats) -> Result<Solution, LpError> {
-        let n = self.n_vars;
-        let simplex::Assembly {
-            mut t,
-            ref_col,
-            flipped,
-        } = assemble(n, &self.constraints);
-        if t.has_artificials() {
-            run_phase1(&mut t, stats)?;
-        }
-        let mut c = vec![0.0; t.cols];
-        c[..n].copy_from_slice(&self.objective);
-        run_phase2(&mut t, &c, stats)?;
-        canonical_finish(&mut t, &c, stats)?;
-        let sol = extract_solution(&t, &ref_col, &flipped, n, |j| (j < n).then_some(j));
+        let (sol, a) = simplex::solve_cold(&self.lp, stats)?;
         self.warm = Some(WarmState {
-            appended_at: t.cols,
-            n_assembled: n,
-            t,
-            ref_col,
-            flipped,
+            appended_at: a.t.cols,
+            n_assembled: self.lp.n_vars(),
+            t: a.t,
+            ref_col: a.ref_col,
+            flipped: a.flipped,
         });
         Ok(sol)
     }
@@ -551,8 +468,12 @@ mod tests {
             .unwrap();
         let s = inc.resolve().unwrap();
         assert_close(s.objective, 2.0);
-        let v = inc.add_column(1.0, &[(0, 1.0)]).unwrap();
-        assert_eq!(v, 2);
+        inc.add_columns(&[ColumnSpec {
+            cost: 1.0,
+            entries: vec![(0, 1.0)],
+        }])
+        .unwrap();
+        assert_eq!(inc.n_vars(), 3);
         let s2 = inc.resolve().unwrap();
         assert!(inc.last_stats().warm);
         assert_close(s2.objective, 1.0);
@@ -648,7 +569,11 @@ mod tests {
         let mut inc = IncrementalLp::from_program(&lp);
         let a = lp.solve().unwrap();
         let b = inc.resolve().unwrap();
-        assert_close(a.objective, b.objective);
+        // One cold pipeline: a first resolve is the one-shot solve.
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.x), bits(&b.x));
+        assert_eq!(bits(&a.duals), bits(&b.duals));
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! extraction, so this crate implements the classic textbook machinery
 //! from scratch:
 //!
-//! * [`LinearProgram`] — a small modelling API (minimization,
-//!   non-negative variables, `≤ / = / ≥` constraints);
+//! * [`LinearProgram`] — the one problem type: a small modelling API
+//!   (minimization, non-negative variables, `≤ / = / ≥` constraints)
+//!   with a one-shot [`LinearProgram::solve`];
+//! * [`IncrementalLp`] — the warm engine column generation runs on: it
+//!   holds a `LinearProgram` plus the tableau it keeps across solves,
+//!   so objective changes re-price the previous basis and appended
+//!   columns price in without a new phase 1;
 //! * a dense tableau simplex with Dantzig pricing and a Bland-rule
 //!   fallback for anti-cycling;
 //! * two phases: artificial variables establish feasibility, then the
-//!   true objective is optimized;
+//!   true objective is optimized — one cold pipeline serves both
+//!   types;
 //! * [`Solution`] carries the optimum, the primal point, and one dual
 //!   value per constraint.
 //!

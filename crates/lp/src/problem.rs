@@ -1,7 +1,7 @@
 //! Modelling API: variables, constraints, objective.
 
 use crate::error::LpError;
-use crate::simplex;
+use crate::simplex::{self, SolveStats};
 
 /// Direction of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +87,9 @@ impl LinearProgram {
     /// # Errors
     ///
     /// [`LpError::UnknownVariable`] for an out-of-range index,
-    /// [`LpError::NonFiniteValue`] for NaN/infinite coefficients.
+    /// [`LpError::NonFiniteValue`] for NaN/infinite coefficients. A
+    /// rejected call leaves the objective unchanged.
     pub fn set_objective(&mut self, coeffs: &[(usize, f64)]) -> Result<(), LpError> {
-        self.objective = vec![0.0; self.n_vars];
         for &(i, c) in coeffs {
             if i >= self.n_vars {
                 return Err(LpError::UnknownVariable {
@@ -100,6 +100,9 @@ impl LinearProgram {
             if !c.is_finite() {
                 return Err(LpError::NonFiniteValue);
             }
+        }
+        self.objective.fill(0.0);
+        for &(i, c) in coeffs {
             self.objective[i] += c;
         }
         Ok(())
@@ -153,6 +156,20 @@ impl LinearProgram {
         Ok(id)
     }
 
+    /// Appends a variable with objective coefficient `cost` whose
+    /// coefficient in row `r` is `dense[r]`; zero entries stay out of
+    /// the sparse rows. The caller has validated both.
+    pub(crate) fn push_column(&mut self, cost: f64, dense: &[f64]) {
+        let v = self.n_vars;
+        self.n_vars += 1;
+        self.objective.push(cost);
+        for (row, &val) in self.constraints.iter_mut().zip(dense) {
+            if val != 0.0 {
+                row.coeffs.push((v, val));
+            }
+        }
+    }
+
     /// Solves the program with the two-phase dense simplex method.
     ///
     /// # Errors
@@ -168,7 +185,11 @@ impl LinearProgram {
         if vlp_obs::failpoint::should_fail(vlp_obs::failpoint::site::LP_SOLVE) {
             return Err(LpError::FaultInjected);
         }
-        simplex::solve(self)
+        let _span = vlp_obs::global().start(simplex::metrics::SOLVE_TIME);
+        let mut stats = SolveStats::default();
+        let result = simplex::solve_cold(self, &mut stats);
+        stats.flush();
+        result.map(|(sol, _)| sol)
     }
 }
 
@@ -218,5 +239,16 @@ mod tests {
             lp.add_constraint(&[(0, 1.0)], Relation::Le, f64::INFINITY),
             Err(LpError::NonFiniteValue)
         );
+    }
+
+    #[test]
+    fn rejected_objective_leaves_program_unchanged() {
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(&[(0, 1.0), (1, 2.0)]).unwrap();
+        assert!(matches!(
+            lp.set_objective(&[(1, 5.0), (7, 1.0)]),
+            Err(LpError::UnknownVariable { index: 7, .. })
+        ));
+        assert_eq!(lp.objective(), &[1.0, 2.0]);
     }
 }

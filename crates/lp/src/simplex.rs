@@ -3,7 +3,8 @@
 //! Internal module; the public entry points are
 //! [`LinearProgram::solve`](crate::LinearProgram::solve) (one-shot
 //! solves) and [`IncrementalLp`](crate::IncrementalLp) (persistent,
-//! warm-started solves built on the same tableau machinery).
+//! warm-started solves on the same tableau machinery). Both run their
+//! cold solves through the one pipeline, `solve_cold`.
 //!
 //! The implementation is the classic textbook method:
 //!
@@ -456,7 +457,7 @@ pub(crate) struct Assembly {
 
 /// Normalizes `constraints` and assembles the initial tableau
 /// (slack/artificial starting basis, perturbed homogeneous rows).
-pub(crate) fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
+fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
     let rows: Vec<NormRow> = constraints
         .iter()
         .map(|c| {
@@ -575,7 +576,7 @@ pub(crate) fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
 /// Phase 1: minimizes the sum of artificials from the slack/artificial
 /// starting basis, then drives remaining basic artificials out where
 /// possible. Call only when the tableau has artificial columns.
-pub(crate) fn run_phase1(t: &mut Tableau, stats: &mut SolveStats) -> Result<(), LpError> {
+fn run_phase1(t: &mut Tableau, stats: &mut SolveStats) -> Result<(), LpError> {
     let mut c1 = vec![0.0; t.cols];
     for (j, c) in c1.iter_mut().enumerate() {
         if t.is_artificial[j] {
@@ -603,11 +604,7 @@ pub(crate) fn run_phase1(t: &mut Tableau, stats: &mut SolveStats) -> Result<(), 
 
 /// Phase 2: re-prices with the true objective `c` (from a freshly
 /// refactorized basis when possible) and optimizes to the minimum.
-pub(crate) fn run_phase2(
-    t: &mut Tableau,
-    c: &[f64],
-    stats: &mut SolveStats,
-) -> Result<(), LpError> {
+fn run_phase2(t: &mut Tableau, c: &[f64], stats: &mut SolveStats) -> Result<(), LpError> {
     if t.refactor(c) {
         stats.refactorizations += 1;
     } else {
@@ -674,43 +671,28 @@ pub(crate) fn extract_solution(
     }
 }
 
-/// Solves `lp` and returns the optimum with primal and dual values.
-pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
-    let _span = vlp_obs::global().start(metrics::SOLVE_TIME);
-    let mut stats = SolveStats::default();
-    let result = solve_inner(lp, &mut stats);
-    stats.flush();
-    result
-}
-
-fn solve_inner(lp: &LinearProgram, stats: &mut SolveStats) -> Result<Solution, LpError> {
+/// The cold two-phase pipeline: assemble the slack/artificial basis,
+/// run phase 1 when the program has artificial columns, optimize the
+/// true objective, finish canonically and extract the solution.
+/// Returns the solution with its optimal tableau, which
+/// [`IncrementalLp`](crate::IncrementalLp) keeps as warm state and
+/// [`LinearProgram::solve`] drops. Tallies into `stats`; flushing is
+/// the caller's.
+pub(crate) fn solve_cold(
+    lp: &LinearProgram,
+    stats: &mut SolveStats,
+) -> Result<(Solution, Assembly), LpError> {
     let n = lp.n_vars();
-    let Assembly {
-        mut t,
-        ref_col,
-        flipped,
-    } = assemble(n, lp.constraints());
-
-    // Phase 1 (skipped when no artificial columns exist, i.e. all rows
-    // are `≤` with rhs ≥ 0).
-    if t.has_artificials() {
-        run_phase1(&mut t, stats)?;
+    let mut a = assemble(n, lp.constraints());
+    if a.t.has_artificials() {
+        run_phase1(&mut a.t, stats)?;
     }
-
-    // Phase 2: the true objective.
-    let mut c2 = vec![0.0; t.cols];
-    c2[..n].copy_from_slice(lp.objective());
-    run_phase2(&mut t, &c2, stats)?;
-    // Canonical finish: refactorize at the optimum so the reported
-    // solution is a pure function of (problem data, final basis),
-    // independent of the pivot path. This is what lets a cold solve and
-    // an [`crate::IncrementalLp`] warm resolve that land on the same
-    // basis return bit-identical answers.
-    canonical_finish(&mut t, &c2, stats)?;
-
-    Ok(extract_solution(&t, &ref_col, &flipped, n, |j| {
-        (j < n).then_some(j)
-    }))
+    let mut c = vec![0.0; a.t.cols];
+    c[..n].copy_from_slice(lp.objective());
+    run_phase2(&mut a.t, &c, stats)?;
+    canonical_finish(&mut a.t, &c, stats)?;
+    let sol = extract_solution(&a.t, &a.ref_col, &a.flipped, n, |j| (j < n).then_some(j));
+    Ok((sol, a))
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ fn service(config: ServiceConfig) -> MechanismService {
 /// on a full queue.
 #[test]
 fn full_queue_rejects_cold_submissions_without_blocking() {
-    let mut svc = service(ServiceConfig {
+    let svc = service(ServiceConfig {
         n_shards: 2,
         delta: 0.2,
         queue_capacity: 1,
@@ -55,21 +55,36 @@ fn full_queue_rejects_cold_submissions_without_blocking() {
             breaker_threshold: u32::MAX,
             ..ResilienceConfig::default()
         },
-        chaos: FaultPlan::new(11).with(site::LP_SOLVE, FaultMode::Always),
+        // Every attempt panics in column-generation pricing, so each
+        // admitted job fails all its attempts and waits out the
+        // backoffs between them. (A faulted master resolve would not
+        // do: column generation ends at the seed iterate and succeeds.)
+        chaos: FaultPlan::new(11).with(site::CG_PRICING_PANIC, FaultMode::Always),
         ..ServiceConfig::default()
     });
     let loc = shard_locations(&svc)[0];
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
     // Four distinct ε buckets on one shard: at most two can be
     // admitted (one on the worker, one queued); the rest must shed.
-    let t = Instant::now();
-    let responses: Vec<Response> = [2.0, 5.0, 10.0, 20.0]
-        .iter()
-        .enumerate()
-        .map(|(i, &eps)| svc.submit(WorkerId(i), loc, eps, &mut rng))
-        .collect();
-    let elapsed = t.elapsed();
+    // They are submitted from a helper thread, so a submit parked on
+    // the full queue fails the watchdog below instead of hanging the
+    // test (it would hold the shard table the worker needs).
+    let (done, finished) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let t = Instant::now();
+        let responses: Vec<Response> = [2.0, 5.0, 10.0, 20.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &eps)| svc.submit(WorkerId(i), loc, eps, &mut rng))
+            .collect();
+        done.send(t.elapsed()).expect("the test thread is waiting");
+        (svc, responses)
+    });
+    let elapsed = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a submit blocked on the full queue");
+    let (mut svc, responses) = submitter.join().expect("submitter panicked");
 
     let rejected = responses
         .iter()
@@ -93,6 +108,11 @@ fn full_queue_rejects_cold_submissions_without_blocking() {
         "submissions took {elapsed:?} — a full queue must reject, not block"
     );
     svc.shutdown();
+    assert_eq!(
+        svc.cached_mechanisms(),
+        0,
+        "every solve attempt must fail under the injected pricing panics"
+    );
 }
 
 /// Shutdown reports one drain slot per shard, leaves every admitted
