@@ -94,6 +94,23 @@ pub fn dijkstra_budgets(snapshot: &Value, runs: u64, settled: u64) -> Result<(),
     Ok(())
 }
 
+/// The committed budget on `lpsolve.simplex.refactor_work` (rows ×
+/// kernel columns, summed over refactorizations): fails when its count
+/// in `snapshot` exceeds `budget`. The count is exact for a fixed
+/// seed, so a budget over it fails any change that makes a
+/// refactorization factor more of the basis than its kernel.
+pub fn refactor_work_budget(snapshot: &Value, budget: u64) -> Result<(), String> {
+    let name = lpsolve::metrics::REFACTOR_WORK;
+    let count = snapshot["counters"][name].as_u64().unwrap_or(0);
+    if count > budget {
+        return Err(format!(
+            "counter `{name}` reached {count}, over the committed budget of {budget} \
+             — refactorizations factor more than the basis kernel"
+        ));
+    }
+    Ok(())
+}
+
 /// Writes `snapshot` to `out` as pretty JSON with a trailing newline,
 /// creating parent directories as needed.
 ///

@@ -25,6 +25,10 @@
 //! * **Row budget** — the suite's `service.solve.lp_rows` total fits
 //!   the committed [`ROWS_BUDGET`]: every restricted LP is solved on
 //!   its chain-reduced spec, not on every in-radius pair.
+//! * **Refactorization budget** — the suite's
+//!   `lpsolve.simplex.refactor_work` fits the committed
+//!   [`REFACTOR_WORK_BUDGET`]: each refactorization factors only the
+//!   basis kernel, not the whole basis.
 //! * **Dijkstra budget** — the suite's `roadnet.dijkstra.runs` and
 //!   `roadnet.dijkstra.settled_nodes` fit the committed
 //!   [`DIJKSTRA_RUNS_BUDGET`] and [`SETTLED_BUDGET`]: support balls and
@@ -100,6 +104,12 @@ const VARS_BUDGET: u64 = 2_500;
 /// to 48,414; the budget keeps about 3% headroom over the latter and
 /// fails the former.
 const ROWS_BUDGET: u64 = 50_000;
+
+/// Committed budget for the suite's `lpsolve.simplex.refactor_work`
+/// (rows × kernel columns, summed over refactorizations). The count is
+/// exact (22,213,425), so the budget leaves about 3% headroom;
+/// factoring the whole basis at every refactorization fails it.
+const REFACTOR_WORK_BUDGET: u64 = 22_880_000;
 
 /// Committed budget for the suite's `roadnet.dijkstra.runs`. The count
 /// is exact (2,028 single-source runs), so the budget leaves about 2%
@@ -276,6 +286,7 @@ fn check_gates(snapshot: &Value, reports: &[ScaleReport]) -> Result<(), String> 
              of {ROWS_BUDGET} — restricted solves lost the chain reduction"
         ));
     }
+    artifact::refactor_work_budget(snapshot, REFACTOR_WORK_BUDGET)?;
     artifact::dijkstra_budgets(snapshot, DIJKSTRA_RUNS_BUDGET, SETTLED_BUDGET)?;
     if snapshot["counters"]["bench_local.privacy_audits"]
         .as_u64()

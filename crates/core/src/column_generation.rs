@@ -298,9 +298,11 @@ impl ColumnPool {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`crate::dvlp::solve_direct`]; additionally an
-/// interrupted run that never produced a solvable master returns the
-/// underlying [`VlpError::Lp`] error.
+/// Same failure modes as [`crate::dvlp::solve_direct`]; additionally a
+/// run whose first restricted master fails returns the underlying
+/// [`VlpError::Lp`] error, and one whose first master solution fails
+/// validation returns [`VlpError::MalformedSolution`]. A later master
+/// failure ends the run on the last healthy iterate.
 pub fn solve_column_generation(
     cost: &CostMatrix,
     spec: &PrivacySpec,
@@ -412,7 +414,9 @@ pub fn solve_column_generation(
         // the simplex can fail outright or report an "optimal" point
         // with large negative λ or violated coupling rows. Any such
         // iterate is useless for duals and reconstruction alike — stop
-        // and fall back to the last healthy one.
+        // and fall back to the last healthy one. Before the first
+        // healthy master there is none: the seed iterate is not a
+        // solve, so the run fails instead.
         let master_started = Instant::now();
         let master_result = if opts.warm_start {
             let lp = match warm_master.as_mut() {
@@ -428,6 +432,7 @@ pub fn solve_column_generation(
         diag.master_time += master_started.elapsed();
         let sol = match master_result {
             Ok(s) => s,
+            Err(e) if diag.iterations == 0 => return Err(e),
             Err(_) => break,
         };
         let min_lambda = sol.x.iter().cloned().fold(0.0f64, f64::min);
@@ -445,6 +450,9 @@ pub fn solve_column_generation(
             worst
         };
         if coupling_dev > 1e-5 || min_lambda < -1e-6 {
+            if diag.iterations == 0 {
+                return Err(VlpError::MalformedSolution);
+            }
             break;
         }
         master_obj = sol.objective;
@@ -905,6 +913,31 @@ mod tests {
             assert!(d2.lp_warm_resolves > 0, "warm run never warm-started");
         }
         assert!(d2.lp_cold_solves > 0);
+    }
+
+    #[test]
+    fn failed_first_master_fails_the_run() {
+        // With every LP solve failing, no restricted master succeeds:
+        // both engines report the LP error instead of returning the
+        // uniform seed iterate as a solution.
+        use std::sync::Arc;
+        use vlp_obs::failpoint::{self, site, FaultMode, FaultPlan};
+        let (aux, cost) = instance(0.5);
+        let spec = reduced_spec(&aux, 2.0, f64::INFINITY);
+        for (warm_start, fault) in [(true, site::LP_RESOLVE), (false, site::LP_SOLVE)] {
+            let plan = Arc::new(FaultPlan::new(1).with(fault, FaultMode::Always));
+            let opts = CgOptions {
+                warm_start,
+                parallel: false,
+                ..CgOptions::default()
+            };
+            let err =
+                failpoint::scope(plan, 0, || solve_column_generation(&cost, &spec, &opts)).err();
+            assert!(
+                matches!(err, Some(VlpError::Lp(lpsolve::LpError::FaultInjected))),
+                "warm_start {warm_start}: {err:?}"
+            );
+        }
     }
 
     /// Block `l` is priced in slot `l` whatever the thread count, so

@@ -8,6 +8,8 @@
 //! operations in the same order on any thread, and no result depends on
 //! how the slots are split.
 
+use vlp_obs::failpoint;
+
 /// Threads a fan-out over `n` slots uses: the available parallelism
 /// capped at `n`, or 1 when `parallel` is off.
 pub(crate) fn threads(n: usize, parallel: bool) -> usize {
@@ -24,9 +26,10 @@ pub(crate) fn threads(n: usize, parallel: bool) -> usize {
 /// Runs `work(i, &mut slots[i], scratch)` for every slot and collects
 /// the results in slot order. With `threads > 1` the slots are split
 /// into `threads` contiguous chunks, each run on its own scoped thread
-/// with its own `scratch()`; otherwise they run inline on the caller's
-/// thread with one scratch. Sites without per-slot state pass unit
-/// slots (`&mut vec![(); n]`, which allocates nothing).
+/// with its own `scratch()` and the caller's failpoint scope
+/// ([`vlp_obs::failpoint::current`]); otherwise they run inline on the
+/// caller's thread with one scratch. Sites without per-slot state pass
+/// unit slots (`&mut vec![(); n]`, which allocates nothing).
 ///
 /// Inline, the collection is lazy: collecting into a `Result` stops at
 /// the first error, as a serial loop would. Threads run every slot of
@@ -56,12 +59,15 @@ where
     }
     let chunk = slots.len().div_ceil(threads);
     let (scratch, work) = (&scratch, &work);
+    let faults = failpoint::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = slots
             .chunks_mut(chunk)
             .enumerate()
             .map(|(t, part)| {
+                let faults = faults.clone();
                 scope.spawn(move || {
+                    let _faults = faults.map(|(plan, key)| failpoint::activate(plan, key));
                     let mut s = scratch();
                     part.iter_mut()
                         .enumerate()
@@ -75,4 +81,25 @@ where
             .flat_map(|h| h.join().expect("fan-out worker panicked"))
             .collect()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vlp_obs::failpoint::{self, FaultMode, FaultPlan};
+
+    #[test]
+    fn workers_inherit_the_callers_failpoint_scope() {
+        let plan = Arc::new(FaultPlan::new(3).with("test.fan_out", FaultMode::Always));
+        let fired: Vec<bool> = failpoint::scope(plan, 11, || {
+            super::run(
+                2,
+                &mut [(); 6],
+                || (),
+                |_, _, _| failpoint::should_fail("test.fan_out"),
+            )
+        });
+        assert_eq!(fired, [true; 6]);
+    }
 }

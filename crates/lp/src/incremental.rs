@@ -75,7 +75,6 @@ pub struct ColumnSpec {
 #[derive(Debug, Clone)]
 struct WarmState {
     t: Tableau,
-    ref_col: Vec<usize>,
     flipped: Vec<bool>,
     /// Structural variable count at assembly time (variables added
     /// later live in appended tableau columns).
@@ -258,7 +257,7 @@ impl IncrementalLp {
                     *dense = -*dense;
                 }
             }
-            ws.t.append_columns(&dense_cols, &ws.ref_col);
+            ws.t.append_columns(&dense_cols);
             vlp_obs::global().incr(metrics::WARM_COLUMNS_ADDED, cols.len() as u64);
         }
         Ok(())
@@ -361,9 +360,7 @@ impl IncrementalLp {
         ws.t.reprice(&c);
         ws.t.optimize(&c, true, stats, false)?;
         canonical_finish(&mut ws.t, &c, stats)?;
-        let sol = extract_solution(&ws.t, &ws.ref_col, &ws.flipped, objective.len(), |j| {
-            ws.col_to_var(j)
-        });
+        let sol = extract_solution(&ws.t, &ws.flipped, objective.len(), |j| ws.col_to_var(j));
         Ok((sol, ws))
     }
 
@@ -375,7 +372,6 @@ impl IncrementalLp {
             appended_at: a.t.cols,
             n_assembled: self.lp.n_vars(),
             t: a.t,
-            ref_col: a.ref_col,
             flipped: a.flipped,
         });
         Ok(sol)

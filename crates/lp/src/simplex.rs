@@ -26,6 +26,14 @@
 //! column-index threshold) so that structural columns appended *after*
 //! assembly — the warm-started master's generated columns — price and
 //! pivot like any original column.
+//!
+//! The dense tableau is the only dense array. The assembled matrix
+//! `A` stays sparse, one row per constraint, and refactorization reads
+//! it from there: a basic column that is its row's assembly identity
+//! column (a `≤` row's slack, an `=` or `≥` row's artificial) is `e_r`
+//! in `A` and needs no factoring, so only the `s × s` kernel of the
+//! other basic columns goes through Gauss–Jordan, and every other row
+//! of `B⁻¹A` follows by sparse elimination (see [`Tableau::refactor`]).
 
 // Dense numeric kernels below index several parallel arrays in one
 // loop; iterator rewrites would obscure the linear-algebra intent.
@@ -42,8 +50,13 @@ pub mod metrics {
     pub const SOLVES: &str = "lpsolve.simplex.solves";
     /// Counter: pivots across both phases (incl. artificial drive-out).
     pub const PIVOTS: &str = "lpsolve.simplex.pivots";
-    /// Counter: periodic + phase-boundary refactorizations.
+    /// Counter: periodic + phase-boundary refactorizations (one that
+    /// finds the basis singular is not counted).
     pub const REFACTORIZATIONS: &str = "lpsolve.simplex.refactorizations";
+    /// Counter: refactorization work, rows × kernel columns (`m·s`)
+    /// summed over refactorizations — a deterministic measure of what
+    /// the kernel factorizations cost.
+    pub const REFACTOR_WORK: &str = "lpsolve.simplex.refactor_work";
     /// Counter: phase-1 simplex iterations.
     pub const PHASE1_ITERATIONS: &str = "lpsolve.simplex.phase1_iterations";
     /// Counter: phase-2 simplex iterations.
@@ -71,6 +84,7 @@ pub mod metrics {
 pub(crate) struct SolveStats {
     pub(crate) pivots: u64,
     pub(crate) refactorizations: u64,
+    pub(crate) refactor_work: u64,
     pub(crate) phase1_iterations: u64,
     pub(crate) phase2_iterations: u64,
 }
@@ -81,6 +95,7 @@ impl SolveStats {
         reg.incr(metrics::SOLVES, 1);
         reg.incr(metrics::PIVOTS, self.pivots);
         reg.incr(metrics::REFACTORIZATIONS, self.refactorizations);
+        reg.incr(metrics::REFACTOR_WORK, self.refactor_work);
         reg.incr(metrics::PHASE1_ITERATIONS, self.phase1_iterations);
         reg.incr(metrics::PHASE2_ITERATIONS, self.phase2_iterations);
     }
@@ -102,10 +117,48 @@ const PERTURB: f64 = 1e-10;
 /// on smaller entries amplifies round-off by their reciprocal and was
 /// observed to corrupt long runs on degenerate Geo-I programs.
 const PIVOT_TOL: f64 = 1e-7;
-/// Refactorize (rebuild the tableau from the original data by
-/// Gauss-Jordan on the current basis) every this many pivots to purge
-/// accumulated floating-point drift.
+/// Refactorize (rebuild the tableau from the assembled rows for the
+/// current basis, see [`Tableau::refactor`]) every this many pivots to
+/// purge accumulated floating-point drift.
 const REFACTOR_EVERY: usize = 150;
+
+/// Pivot magnitude below which refactorization declares the basis
+/// numerically singular.
+const SINGULAR_TOL: f64 = 1e-11;
+
+/// One row of the assembled matrix, kept sparse.
+#[derive(Debug, Clone)]
+struct AssembledRow {
+    /// Nonzero `(column, coefficient)` entries in column order: the
+    /// normalized structural coefficients, the row's slack, surplus or
+    /// artificial entry, then the entries of appended columns.
+    entries: Vec<(usize, f64)>,
+    /// Normalized, perturbed right-hand side.
+    rhs: f64,
+}
+
+impl AssembledRow {
+    /// The nonzeros of a dense assembled row (`rhs` last).
+    fn from_dense(row: &[f64]) -> Self {
+        let (rhs, coeffs) = row.split_last().expect("a row has an rhs entry");
+        let entries = coeffs
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| v != 0.0)
+            .map(|(j, &v)| (j, v))
+            .collect();
+        AssembledRow { entries, rhs: *rhs }
+    }
+
+    /// Writes the row into a dense row that is zero on entry (`rhs`
+    /// last).
+    fn scatter(&self, dst: &mut [f64]) {
+        for &(j, v) in &self.entries {
+            dst[j] = v;
+        }
+        *dst.last_mut().expect("a row has an rhs entry") = self.rhs;
+    }
+}
 
 /// A dense simplex tableau with an attached reduced-cost row.
 #[derive(Debug, Clone)]
@@ -117,10 +170,16 @@ pub(crate) struct Tableau {
     pub(crate) cols: usize,
     /// Row-major data, each row has `cols + 1` entries (last = rhs).
     pub(crate) data: Vec<f64>,
-    /// Pristine copy of `data` as assembled (basis = identity on the
-    /// initial slack/artificial columns); used for refactorization.
-    /// Appended columns extend it with their original coefficients.
-    pub(crate) orig: Vec<f64>,
+    /// The assembled matrix `A` (basis = identity on the initial
+    /// slack/artificial columns), one sparse row per constraint;
+    /// refactorization rebuilds `data` from it. Appended columns add
+    /// their normalized entries to it.
+    assembled: Vec<AssembledRow>,
+    /// Per row, the column carrying `+e_i` at zero cost in `A` (slack
+    /// for `≤`, artificial for `=`/`≥`): its assembly identity column.
+    /// Used for dual extraction, to read `B⁻¹` out of the live
+    /// tableau, and to find the basis kernel.
+    ref_col: Vec<usize>,
     /// Reduced-cost row, `cols` entries.
     pub(crate) reduced: Vec<f64>,
     /// Current objective value of the phase being optimized.
@@ -281,65 +340,131 @@ impl Tableau {
         best.map(|(i, _, _)| i)
     }
 
-    /// Rebuilds the tableau from the pristine matrix for the current
-    /// basis via Gauss-Jordan with partial pivoting, then re-prices.
-    /// Returns `false` (leaving the tableau untouched) if the basis
-    /// matrix is numerically singular.
-    pub(crate) fn refactor(&mut self, c: &[f64]) -> bool {
+    /// Rebuilds the tableau `B⁻¹A` for the current basis from the
+    /// assembled rows, then re-prices; tallies the refactorization and
+    /// its work (`m·s`) into `stats`. Returns `false` (leaving the
+    /// tableau untouched) if the basis matrix is numerically singular.
+    ///
+    /// A basic column that is row `r`'s identity column (`ref_col[r]`)
+    /// *covers* row `r`. The other basic columns are the *kernel*
+    /// columns, and the rows left uncovered are the kernel rows; each
+    /// covered row owns one identity position, so there are `s` of
+    /// each. Ordering rows kernel-first and positions kernel-first,
+    /// `B = [[K, 0], [C, I]]`, so
+    ///
+    /// * the kernel positions of `B⁻¹A` are `K⁻¹ A_kernel`, found by
+    ///   Gauss–Jordan with partial pivoting on `[K | A_kernel rows]`
+    ///   (`K`'s columns in basis order, its rows in row order);
+    /// * a covered row's position is its assembled row minus, for each
+    ///   of its entries in a kernel column, that entry times the
+    ///   kernel column's row of `B⁻¹A`.
+    ///
+    /// This costs `O(s²·(s + w) + (m − s)·e·w)` for tableau width `w`
+    /// and `e` kernel entries per covered row. With no identity column
+    /// basic (`s = m`) it is the Gauss–Jordan of the whole basis,
+    /// operation for operation. The result is a pure function of the
+    /// program, the ordered basis and `c`.
+    pub(crate) fn refactor(&mut self, c: &[f64], stats: &mut SolveStats) -> bool {
         let m = self.m;
         let w = self.cols + 1;
-        // Augmented system [B | A b]: width m + w.
-        let aw = m + w;
-        let mut mat = vec![0.0; m * aw];
-        for i in 0..m {
-            for (bpos, &bcol) in self.basis.iter().enumerate() {
-                mat[i * aw + bpos] = self.orig[i * w + bcol];
-            }
-            mat[i * aw + m..i * aw + m + w].copy_from_slice(&self.orig[i * w..(i + 1) * w]);
+        let mut pos = vec![usize::MAX; self.cols];
+        for (p, &b) in self.basis.iter().enumerate() {
+            pos[b] = p;
         }
-        // Reduce the B block to the identity.
-        for col in 0..m {
+        let mut identity_pos = vec![false; m];
+        let mut kernel_rows = Vec::new();
+        for (r, &col) in self.ref_col.iter().enumerate() {
+            match pos[col] {
+                usize::MAX => kernel_rows.push(r),
+                p => identity_pos[p] = true,
+            }
+        }
+        let kernel_pos: Vec<usize> = (0..m).filter(|&p| !identity_pos[p]).collect();
+        let s = kernel_pos.len();
+        // Augmented kernel system [K | A_kernel b]: width s + w.
+        let aw = s + w;
+        let mut mat = vec![0.0; s * aw];
+        for (row, &r) in mat.chunks_exact_mut(aw).zip(&kernel_rows) {
+            self.assembled[r].scatter(&mut row[s..]);
+            for (j, &p) in kernel_pos.iter().enumerate() {
+                row[j] = row[s + self.basis[p]];
+            }
+        }
+        // Reduce K to the identity. Columns left of `col` are never
+        // read again, so row operations start right of it.
+        let mut pivot_row = Vec::with_capacity(aw);
+        for col in 0..s {
             let mut piv = col;
             let mut best = mat[col * aw + col].abs();
-            for r in col + 1..m {
+            for r in col + 1..s {
                 let v = mat[r * aw + col].abs();
                 if v > best {
                     best = v;
                     piv = r;
                 }
             }
-            if best < 1e-11 {
+            if best < SINGULAR_TOL {
                 return false;
             }
             if piv != col {
-                for j in 0..aw {
+                for j in col..aw {
                     mat.swap(col * aw + j, piv * aw + j);
                 }
             }
             let inv = 1.0 / mat[col * aw + col];
-            for j in 0..aw {
-                mat[col * aw + j] *= inv;
-            }
-            let pivot_row: Vec<f64> = mat[col * aw..(col + 1) * aw].to_vec();
-            for r in 0..m {
+            pivot_row.clear();
+            pivot_row.extend(
+                mat[col * aw + col + 1..(col + 1) * aw]
+                    .iter()
+                    .map(|v| v * inv),
+            );
+            mat[col * aw + col + 1..(col + 1) * aw].copy_from_slice(&pivot_row);
+            for r in 0..s {
                 if r == col {
                     continue;
                 }
                 let f = mat[r * aw + col];
                 if f != 0.0 {
-                    for j in 0..aw {
-                        mat[r * aw + j] -= f * pivot_row[j];
+                    for (x, &p) in mat[r * aw + col + 1..(r + 1) * aw]
+                        .iter_mut()
+                        .zip(&pivot_row)
+                    {
+                        *x -= f * p;
                     }
                 }
             }
         }
-        // The B block is now exactly the identity, so row r carries
-        // `e_r` in B-position r: its basic column is still `basis[r]`
-        // (column r of B). Row swaps reordered intermediate states
-        // only; the final correspondence is fixed by the identity.
-        for i in 0..m {
-            self.data[i * w..(i + 1) * w].copy_from_slice(&mat[i * aw + m..(i + 1) * aw]);
+        // K is now the identity, so row i carries kernel position
+        // `kernel_pos[i]`; row swaps reordered intermediate states only.
+        let mut kernel_of = vec![usize::MAX; m];
+        for (i, &p) in kernel_pos.iter().enumerate() {
+            kernel_of[p] = i;
+            self.data[p * w..(p + 1) * w].copy_from_slice(&mat[i * aw + s..(i + 1) * aw]);
         }
+        for (r, row) in self.assembled.iter().enumerate() {
+            let own = self.ref_col[r];
+            let p = pos[own];
+            if p == usize::MAX {
+                continue;
+            }
+            let dst = &mut self.data[p * w..(p + 1) * w];
+            dst.fill(0.0);
+            row.scatter(dst);
+            // A basic column other than the row's own identity column
+            // is a kernel column: another row's identity column has no
+            // entry here.
+            for &(j, v) in &row.entries {
+                if j == own || pos[j] == usize::MAX {
+                    continue;
+                }
+                let i = kernel_of[pos[j]];
+                for (x, &k) in dst.iter_mut().zip(&mat[i * aw + s..(i + 1) * aw]) {
+                    *x -= v * k;
+                }
+            }
+        }
+        stats.refactorizations += 1;
+        stats.refactor_work += (m * s) as u64;
         self.reprice(c);
         true
     }
@@ -360,8 +485,7 @@ impl Tableau {
         let bland_after = budget / 2;
         for iter in 0..budget {
             if iter > 0 && iter % REFACTOR_EVERY == 0 {
-                self.refactor(c);
-                stats.refactorizations += 1;
+                self.refactor(c, stats);
             }
             if phase1 {
                 stats.phase1_iterations += 1;
@@ -385,13 +509,12 @@ impl Tableau {
     /// current basis (and therefore primal feasibility) intact.
     ///
     /// `new_cols[c]` holds the *normalized* (row-flip applied) original
-    /// coefficients of column `c`, dense over the `m` rows. `init_col`
-    /// maps each row to its assembly-time identity column (slack for
-    /// `≤`, artificial otherwise): since `orig[:, init_col[i]] = e_i`,
-    /// the current `data[:, init_col[i]]` is column `i` of `B⁻¹`, which
-    /// lets the basis representation `B⁻¹ a` of each new column be
+    /// coefficients of column `c`, dense over the `m` rows; its nonzeros
+    /// join the assembled rows. Since `A[:, ref_col[i]] = e_i`, the
+    /// current `data[:, ref_col[i]]` is column `i` of `B⁻¹`, which lets
+    /// the basis representation `B⁻¹ a` of each new column be
     /// accumulated without factorizing anything.
-    pub(crate) fn append_columns(&mut self, new_cols: &[Vec<f64>], init_col: &[usize]) {
+    pub(crate) fn append_columns(&mut self, new_cols: &[Vec<f64>]) {
         let b = new_cols.len();
         if b == 0 {
             return;
@@ -405,29 +528,29 @@ impl Tableau {
             debug_assert_eq!(a.len(), m, "appended column must be dense over rows");
             for (i, &ai) in a.iter().enumerate() {
                 if ai != 0.0 {
-                    let col = init_col[i];
+                    let col = self.ref_col[i];
                     for r in 0..m {
                         rep[r * b + c] += ai * self.data[r * w + col];
                     }
                 }
             }
         }
-        // Widen the row-major stores: existing columns, new columns,
+        // Widen the row-major data: existing columns, new columns,
         // then rhs.
         let mut data = vec![0.0; m * nw];
-        let mut orig = vec![0.0; m * nw];
         for i in 0..m {
             data[i * nw..i * nw + self.cols].copy_from_slice(&self.data[i * w..i * w + self.cols]);
-            orig[i * nw..i * nw + self.cols].copy_from_slice(&self.orig[i * w..i * w + self.cols]);
-            for c in 0..b {
-                data[i * nw + self.cols + c] = rep[i * b + c];
-                orig[i * nw + self.cols + c] = new_cols[c][i];
-            }
+            data[i * nw + self.cols..i * nw + nw - 1].copy_from_slice(&rep[i * b..(i + 1) * b]);
             data[i * nw + nw - 1] = self.data[i * w + w - 1];
-            orig[i * nw + nw - 1] = self.orig[i * w + w - 1];
+        }
+        for (i, row) in self.assembled.iter_mut().enumerate() {
+            for (c, a) in new_cols.iter().enumerate() {
+                if a[i] != 0.0 {
+                    row.entries.push((self.cols + c, a[i]));
+                }
+            }
         }
         self.data = data;
-        self.orig = orig;
         self.cols += b;
         self.reduced.resize(self.cols, 0.0);
         self.in_basis.resize(self.cols, false);
@@ -447,10 +570,6 @@ struct NormRow {
 /// extraction and column appends.
 pub(crate) struct Assembly {
     pub(crate) t: Tableau,
-    /// Per row, the column carrying `+e_i` at zero cost in `orig`
-    /// (slack for `≤`, artificial for `=`/`≥`). Used both for dual
-    /// extraction and to read `B⁻¹` out of the live tableau.
-    pub(crate) ref_col: Vec<usize>,
     /// Whether each row was sign-flipped during normalization.
     pub(crate) flipped: Vec<bool>,
 }
@@ -548,7 +667,9 @@ fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
     let t = Tableau {
         m,
         cols,
-        orig: data.clone(),
+        assembled: data.chunks_exact(w).map(AssembledRow::from_dense).collect(),
+        // The starting basis is each row's identity column.
+        ref_col: basis.clone(),
         data,
         reduced: vec![0.0; cols],
         objective: 0.0,
@@ -557,20 +678,8 @@ fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
         is_artificial,
         n_artificial: cols - first_artificial,
     };
-    let ref_col: Vec<usize> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| match r.relation {
-            Relation::Le => slack_col[i],
-            _ => art_col[i],
-        })
-        .collect();
     let flipped: Vec<bool> = rows.iter().map(|r| r.flipped).collect();
-    Assembly {
-        t,
-        ref_col,
-        flipped,
-    }
+    Assembly { t, flipped }
 }
 
 /// Phase 1: minimizes the sum of artificials from the slack/artificial
@@ -605,16 +714,14 @@ fn run_phase1(t: &mut Tableau, stats: &mut SolveStats) -> Result<(), LpError> {
 /// Phase 2: re-prices with the true objective `c` (from a freshly
 /// refactorized basis when possible) and optimizes to the minimum.
 fn run_phase2(t: &mut Tableau, c: &[f64], stats: &mut SolveStats) -> Result<(), LpError> {
-    if t.refactor(c) {
-        stats.refactorizations += 1;
-    } else {
+    if !t.refactor(c, stats) {
         t.reprice(c);
     }
     t.optimize(c, true, stats, false)
 }
 
 /// Canonicalizes an optimal tableau: refactorizes the final basis so
-/// the reported numbers are a pure function of `(orig, basis, c)` —
+/// the reported numbers are a pure function of `(A, basis, c)` —
 /// independent of the pivot path that reached the basis. If the cleaned
 /// reduced costs re-expose an improving column (round-off was hiding
 /// it), optimization resumes, bounded to a few rounds.
@@ -627,11 +734,10 @@ pub(crate) fn canonical_finish(
     stats: &mut SolveStats,
 ) -> Result<(), LpError> {
     for _ in 0..5 {
-        if !t.refactor(c) {
+        if !t.refactor(c, stats) {
             // Numerically singular basis: keep the pivoted data.
             return Ok(());
         }
-        stats.refactorizations += 1;
         if t.entering(false, true).is_none() {
             return Ok(());
         }
@@ -645,7 +751,6 @@ pub(crate) fn canonical_finish(
 /// solves; splices appended columns for the incremental engine).
 pub(crate) fn extract_solution(
     t: &Tableau,
-    ref_col: &[usize],
     flipped: &[bool],
     n_vars: usize,
     col_to_var: impl Fn(usize) -> Option<usize>,
@@ -661,7 +766,7 @@ pub(crate) fn extract_solution(
     // assembly.
     let mut duals = vec![0.0; t.m];
     for i in 0..t.m {
-        let y = -t.reduced[ref_col[i]];
+        let y = -t.reduced[t.ref_col[i]];
         duals[i] = if flipped[i] { -y } else { y };
     }
     Solution {
@@ -691,17 +796,241 @@ pub(crate) fn solve_cold(
     c[..n].copy_from_slice(lp.objective());
     run_phase2(&mut a.t, &c, stats)?;
     canonical_finish(&mut a.t, &c, stats)?;
-    let sol = extract_solution(&a.t, &a.ref_col, &a.flipped, n, |j| (j < n).then_some(j));
+    let sol = extract_solution(&a.t, &a.flipped, n, |j| (j < n).then_some(j));
     Ok((sol, a))
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::problem::{LinearProgram, Relation};
+    use super::{assemble, SolveStats, Tableau, SINGULAR_TOL};
+    use crate::problem::{Constraint, LinearProgram, Relation};
     use crate::LpError;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
+    }
+
+    /// The full-basis Gauss–Jordan refactorization on the dense
+    /// assembled matrix: the reference the kernel refactorization is
+    /// checked against. Same contract as [`Tableau::refactor`].
+    fn dense_refactor(t: &mut Tableau, c: &[f64]) -> bool {
+        let m = t.m;
+        let w = t.cols + 1;
+        let aw = m + w;
+        let mut orig = vec![0.0; m * w];
+        for (row, a) in orig.chunks_exact_mut(w).zip(&t.assembled) {
+            a.scatter(row);
+        }
+        let mut mat = vec![0.0; m * aw];
+        for i in 0..m {
+            for (bpos, &bcol) in t.basis.iter().enumerate() {
+                mat[i * aw + bpos] = orig[i * w + bcol];
+            }
+            mat[i * aw + m..(i + 1) * aw].copy_from_slice(&orig[i * w..(i + 1) * w]);
+        }
+        for col in 0..m {
+            let mut piv = col;
+            let mut best = mat[col * aw + col].abs();
+            for r in col + 1..m {
+                let v = mat[r * aw + col].abs();
+                if v > best {
+                    best = v;
+                    piv = r;
+                }
+            }
+            if best < SINGULAR_TOL {
+                return false;
+            }
+            if piv != col {
+                for j in 0..aw {
+                    mat.swap(col * aw + j, piv * aw + j);
+                }
+            }
+            let inv = 1.0 / mat[col * aw + col];
+            for j in 0..aw {
+                mat[col * aw + j] *= inv;
+            }
+            let pivot_row: Vec<f64> = mat[col * aw..(col + 1) * aw].to_vec();
+            for r in 0..m {
+                let f = mat[r * aw + col];
+                if r != col && f != 0.0 {
+                    for j in 0..aw {
+                        mat[r * aw + j] -= f * pivot_row[j];
+                    }
+                }
+            }
+        }
+        for i in 0..m {
+            t.data[i * w..(i + 1) * w].copy_from_slice(&mat[i * aw + m..(i + 1) * aw]);
+        }
+        t.reprice(c);
+        true
+    }
+
+    fn row(coeffs: &[f64], relation: Relation, rhs: f64) -> Constraint {
+        Constraint {
+            coeffs: coeffs.iter().copied().enumerate().collect(),
+            relation,
+            rhs,
+        }
+    }
+
+    /// Pivots on `(row, col)` for each `(row, col)` seed in `moves`
+    /// whose column is non-basic and whose entry is well away from
+    /// zero, so the bases reached stay well conditioned.
+    fn random_pivots(t: &mut Tableau, moves: &[(usize, usize)]) {
+        for &(r, j) in moves {
+            let (r, j) = (r % t.m, j % t.cols);
+            if !t.in_basis[j] && t.at(r, j).abs() > 0.25 {
+                t.pivot(r, j);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Refactors `t` both ways; asserts both succeed and agree within
+    /// 1e-9 relative on every tableau entry, reduced cost and the
+    /// objective.
+    fn check_against_dense(t: &Tableau, c: &[f64]) -> Result<(), proptest::TestCaseError> {
+        let (mut kernel, mut dense) = (t.clone(), t.clone());
+        prop_assert!(kernel.refactor(c, &mut SolveStats::default()));
+        prop_assert!(dense_refactor(&mut dense, c));
+        prop_assert_eq!(&kernel.basis, &dense.basis);
+        let pairs = kernel
+            .data
+            .iter()
+            .zip(&dense.data)
+            .chain(kernel.reduced.iter().zip(&dense.reduced))
+            .chain([(&kernel.objective, &dense.objective)]);
+        for (idx, (&a, &b)) in pairs.enumerate() {
+            let scale = a.abs().max(b.abs()).max(1.0);
+            prop_assert!((a - b).abs() <= 1e-9 * scale, "entry {idx}: {a} vs {b}");
+        }
+        Ok(())
+    }
+
+    fn relation(code: u8) -> Relation {
+        match code {
+            0 => Relation::Le,
+            1 => Relation::Ge,
+            _ => Relation::Eq,
+        }
+    }
+
+    proptest! {
+        /// The kernel refactorization matches the full-basis
+        /// Gauss–Jordan on bases reached by random pivots, before and
+        /// after columns are appended.
+        #[test]
+        fn kernel_refactor_matches_dense_reference(
+            n in 2usize..6,
+            rows in prop::collection::vec(
+                (prop::collection::vec(-3.0f64..3.0, 5), 0u8..3, -4.0f64..4.0),
+                1..7,
+            ),
+            moves in prop::collection::vec((0usize..64, 0usize..64), 0..12),
+            appended in prop::collection::vec(prop::collection::vec(-3.0f64..3.0, 7), 0..3),
+            later in prop::collection::vec((0usize..64, 0usize..64), 0..8),
+            costs in prop::collection::vec(-5.0f64..5.0, 24),
+        ) {
+            // `≤`, `≥` and `=` rows with rhs of both signs (negative
+            // ones are flipped at assembly).
+            let constraints: Vec<Constraint> = rows
+                .iter()
+                .map(|(coeffs, code, rhs)| row(&coeffs[..n], relation(*code), *rhs))
+                .collect();
+            let mut a = assemble(n, &constraints);
+            let t = &mut a.t;
+            random_pivots(t, &moves);
+            let c = |t: &Tableau| costs.iter().cycle().take(t.cols).copied().collect::<Vec<_>>();
+            check_against_dense(t, &c(t))?;
+            let m = t.m;
+            let new_cols: Vec<Vec<f64>> = appended.iter().map(|col| col[..m].to_vec()).collect();
+            t.append_columns(&new_cols);
+            random_pivots(t, &later);
+            check_against_dense(t, &c(t))?;
+        }
+    }
+
+    #[test]
+    fn identity_basis_reproduces_the_assembled_rows() {
+        // s = 0: every basic column is its row's identity column.
+        let constraints = [
+            row(&[1.0, -2.0, 0.5], Relation::Le, 3.0),
+            row(&[2.0, 1.0, 0.0], Relation::Ge, 1.0),
+            row(&[1.0, 1.0, 1.0], Relation::Eq, 2.0),
+            row(&[-1.0, 4.0, 0.0], Relation::Le, -1.0),
+            row(&[0.0, 3.0, -1.0], Relation::Le, 0.0),
+        ];
+        let mut t = assemble(3, &constraints).t;
+        t.append_columns(&[vec![1.5, 0.0, -2.0, 1.0, 0.25]]);
+        let before = t.data.clone();
+        let c: Vec<f64> = (0..t.cols).map(|j| j as f64 - 2.0).collect();
+        let mut stats = SolveStats::default();
+        assert!(t.refactor(&c, &mut stats));
+        assert_eq!(bits(&t.data), bits(&before));
+        assert_eq!((stats.refactorizations, stats.refactor_work), (1, 0));
+    }
+
+    #[test]
+    fn basis_without_identity_columns_matches_reference_bit_for_bit() {
+        // s = m: pivot a structural column into every row.
+        let constraints = [
+            row(&[2.0, 1.0, 0.5], Relation::Le, 4.0),
+            row(&[1.0, 3.0, -1.0], Relation::Ge, 1.0),
+            row(&[0.5, -1.0, 2.0], Relation::Eq, 2.0),
+        ];
+        let mut t = assemble(3, &constraints).t;
+        for r in 0..3 {
+            let j = (0..3)
+                .filter(|&j| !t.in_basis[j])
+                .max_by(|&a, &b| t.at(r, a).abs().total_cmp(&t.at(r, b).abs()))
+                .unwrap();
+            t.pivot(r, j);
+        }
+        assert!(t.basis.iter().all(|&b| b < 3), "basis {:?}", t.basis);
+        let c: Vec<f64> = (0..t.cols).map(|j| 1.0 + j as f64 * 0.3).collect();
+        let mut stats = SolveStats::default();
+        let mut dense = t.clone();
+        assert!(t.refactor(&c, &mut stats));
+        assert!(dense_refactor(&mut dense, &c));
+        assert_eq!(bits(&t.data), bits(&dense.data));
+        assert_eq!(bits(&t.reduced), bits(&dense.reduced));
+        assert_eq!(t.objective.to_bits(), dense.objective.to_bits());
+        assert_eq!(stats.refactor_work, 9);
+    }
+
+    #[test]
+    fn singular_kernel_leaves_the_tableau_untouched() {
+        // Columns 0 and 1 are equal, so a basis holding both is
+        // singular.
+        let constraints = [
+            row(&[1.0, 1.0, 2.0], Relation::Le, 4.0),
+            row(&[2.0, 2.0, -1.0], Relation::Le, 3.0),
+            row(&[0.0, 0.0, 1.0], Relation::Le, 1.0),
+        ];
+        let mut t = assemble(3, &constraints).t;
+        t.pivot(0, 0);
+        let c = vec![1.0; t.cols];
+        t.reprice(&c);
+        // Force the singular basis by hand.
+        let out = t.basis[1];
+        t.in_basis[out] = false;
+        t.in_basis[1] = true;
+        t.basis[1] = 1;
+        let before = t.clone();
+        let mut stats = SolveStats::default();
+        assert!(!t.refactor(&c, &mut stats));
+        assert_eq!(bits(&t.data), bits(&before.data));
+        assert_eq!(t.basis, before.basis);
+        assert_eq!(t.in_basis, before.in_basis);
+        assert_eq!(bits(&t.reduced), bits(&before.reduced));
+        assert_eq!(t.objective.to_bits(), before.objective.to_bits());
+        assert_eq!((stats.refactorizations, stats.refactor_work), (0, 0));
     }
 
     #[test]

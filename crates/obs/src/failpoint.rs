@@ -311,6 +311,13 @@ pub fn scope<R>(plan: Arc<FaultPlan>, key: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The scope active on the current thread, as `(plan, key)`, if any.
+/// A caller that hands work to other threads activates it on each of
+/// them, so the work evaluates the same sites on any core count.
+pub fn current() -> Option<(Arc<FaultPlan>, u64)> {
+    ACTIVE.with(|a| a.borrow().clone())
+}
+
 /// Asks the thread's active plan whether `site` fires for the scope's
 /// key. `false` (and no accounting) when no scope is active.
 pub fn should_fail(site: &str) -> bool {

@@ -25,6 +25,7 @@ pub const KNOWN_METRICS: &[&str] = &[
     "lpsolve.simplex.phase1_iterations",
     "lpsolve.simplex.phase2_iterations",
     "lpsolve.simplex.pivots",
+    "lpsolve.simplex.refactor_work",
     "lpsolve.simplex.refactorizations",
     "lpsolve.simplex.solve",
     "lpsolve.simplex.solves",
