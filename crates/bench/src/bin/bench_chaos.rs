@@ -28,11 +28,11 @@
 //!   unless faults are injected.
 //! * **Every quality rung serves** — after the blackout recovers, a
 //!   tier-ladder phase walks the per-batch deadline down the quality
-//!   ladder (see [`LADDER`]) with cold ε budgets, and each of the four
+//!   ladder (see [`LADDER`]) with cold ε budgets, and each of the three
 //!   [`QualityTier`] rungs must serve at least one request (checked
 //!   both per-request and via the `service.tier.*.served` counters).
-//!   Everything the ladder leaves cached — clustered and spanner
-//!   mechanisms included — must still pass the batch privacy audit.
+//!   Everything the ladder leaves cached — clustered mechanisms
+//!   included — must still pass the batch privacy audit.
 //! * **The trajectory is pinned** — the served split of the chaos
 //!   phase and the per-rung serves of the tier-ladder phase must equal
 //!   the committed totals ([`PINNED_SERVED`], [`PINNED_SERVED_LOCAL`],
@@ -102,12 +102,10 @@ const SCHEDULE: &str = "lp.resolve.fault=ratio:0.3; cg.pricing.panic=ratio:0.15;
 
 /// The tier-ladder schedule: per-batch deadline and the rung it must
 /// select under [`service_config`]'s `TierPolicy` floors (exact ≥
-/// 150ms, clustered ≥ 50ms, spanner ≥ 10ms, zero = never-wait
-/// Laplace).
-const LADDER: [(Duration, QualityTier); 4] = [
+/// 150ms, clustered ≥ 50ms, zero = never-wait Laplace).
+const LADDER: [(Duration, QualityTier); QualityTier::ALL.len()] = [
     (Duration::from_secs(60), QualityTier::Exact),
     (Duration::from_millis(80), QualityTier::Clustered),
-    (Duration::from_millis(20), QualityTier::Spanner),
     (Duration::ZERO, QualityTier::Laplace),
 ];
 
@@ -123,11 +121,11 @@ const PINNED_SERVED: [u64; 3] = [915, 90, 75];
 const PINNED_SERVED_LOCAL: [u64; 3] = [934, 77, 69];
 
 /// Committed tier-ladder serves at the rung each deadline targets,
-/// exact / clustered / spanner / laplace, in full-shard mode.
-const PINNED_LADDER: [u64; 4] = [108, 108, 72, 108];
+/// exact / clustered / laplace, in full-shard mode.
+const PINNED_LADDER: [u64; QualityTier::ALL.len()] = [72, 99, 108];
 
 /// Committed tier-ladder serves under `--local`, as [`PINNED_LADDER`].
-const PINNED_LADDER_LOCAL: [u64; 4] = [98, 96, 66, 108];
+const PINNED_LADDER_LOCAL: [u64; QualityTier::ALL.len()] = [68, 99, 108];
 
 fn service_config(chaos: FaultPlan, local: bool) -> ServiceConfig {
     ServiceConfig {
@@ -142,7 +140,6 @@ fn service_config(chaos: FaultPlan, local: bool) -> ServiceConfig {
         tiers: TierPolicy {
             exact_floor: Duration::from_millis(150),
             clustered_floor: Duration::from_millis(50),
-            spanner_floor: Duration::from_millis(10),
             ..TierPolicy::default()
         },
         ..ServiceConfig::default()
@@ -312,7 +309,7 @@ fn main() {
     // exhausted retry budget can collapse individual batches to the
     // fallback, which is why the gate is "each rung served at least
     // once over the cycles", not "every request at the target rung".
-    let mut ladder_served = [0u64; 4];
+    let mut ladder_served = [0u64; QualityTier::ALL.len()];
     for cycle in 0..LADDER_CYCLES {
         for (step, (deadline, want)) in LADDER.into_iter().enumerate() {
             let eps = 11.0 + (cycle * LADDER.len() + step) as f64 * 0.5;
@@ -341,8 +338,8 @@ fn main() {
             served as f64,
         );
     }
-    // The ladder's leftovers — clustered and spanner mechanisms in the
-    // cache included — pass the same privacy audit as every batch.
+    // The ladder's leftovers — clustered mechanisms in the cache
+    // included — pass the same privacy audit as every batch.
     audited += scenarios::audit_live(&svc, "after the tier ladder");
 
     let denom = (served_optimal + served_stale + served_fallback) as f64;
@@ -384,8 +381,8 @@ fn main() {
         "bench_chaos: OK ({mode}) — {requests_total} requests over {BATCHES} batches under \
          `{SCHEDULE}`; served {served_optimal} optimal / {served_stale} stale / \
          {served_fallback} fallback, {audited} mechanism audits all ε-valid, breaker re-closed \
-         {recovery} batch(es) after the blackout; ladder served \
-         {}/{}/{}/{} exact/clustered/spanner/laplace → {out}",
-        ladder_served[0], ladder_served[1], ladder_served[2], ladder_served[3]
+         {recovery} batch(es) after the blackout; ladder served {} {} → {out}",
+        ladder_served.map(|n| n.to_string()).join("/"),
+        QualityTier::ALL.map(QualityTier::label).join("/"),
     );
 }

@@ -16,7 +16,7 @@
 //!   passes `privacy::verify` against the *full* Geo-I constraint set
 //!   at its canonical ε;
 //! * the quality ladder is ordered: solving shard 0 at every rung,
-//!   ETDD satisfies exact ≤ clustered ≤ spanner ≤ graph-Laplace, and
+//!   ETDD satisfies exact ≤ clustered ≤ graph-Laplace, and
 //!   every rung's mechanism passes the full-spec privacy audit. The
 //!   measured per-tier ETDD lands in the artifact as
 //!   `bench_service.tier.etdd.<tier>` (plus the ratio against the
@@ -44,12 +44,6 @@ const HIT_RATE_FLOOR: f64 = 0.90;
 /// Super-interval width (km) used for the clustered rung of the tier
 /// sweep — the `TierPolicy` default.
 const CLUSTER_WIDTH: f64 = 0.3;
-
-/// Stretch bound used for the spanner rung of the tier sweep — the
-/// `TierPolicy` default. At stretch 2 the spanner rung beats the
-/// clustered one on this map; 2.5 keeps the ladder's quality ordering
-/// strict while still far cheaper than the exact LP.
-const SPANNER_STRETCH: f64 = 2.5;
 
 /// Slack for the tier ETDD ordering gate (the rungs are distinct
 /// relaxations; ties up to float noise are legal).
@@ -165,10 +159,10 @@ fn main() {
 
     // Tier quality sweep: solve shard 0 at every rung of the quality
     // ladder, audit each rung against the full (unreduced) Geo-I spec,
-    // and gate the ETDD ordering exact ≤ clustered ≤ spanner ≤
-    // graph-Laplace. The intermediate tiers trade optimality for solve
-    // time, never privacy — so the audit is at the ladder's canonical
-    // ε for every rung.
+    // and gate the ETDD ordering exact ≤ clustered ≤ graph-Laplace.
+    // The clustered tier trades optimality for solve time, never
+    // privacy — so the audit is at the ladder's canonical ε for every
+    // rung.
     let tier_eps = svc.canonical_epsilon(EPSILONS[1]);
     let inst = svc.shard_instance(0);
     let opts = CgOptions::default();
@@ -178,23 +172,18 @@ fn main() {
     let clustered = inst
         .solve_clustered(tier_eps, f64::INFINITY, CLUSTER_WIDTH, &opts)
         .expect("clustered rung solves");
-    let spanner = inst
-        .solve_spanner(tier_eps, SPANNER_STRETCH, &opts)
-        .expect("spanner rung solves");
     let laplace = inst.fallback(tier_eps);
     let tier_etdd = [
         exact.quality_loss,
         clustered.quality_loss,
-        spanner.quality_loss,
         laplace.quality_loss(&inst.cost),
     ];
     let full_spec = vlp_core::PrivacySpec::full(&inst.aux, tier_eps, f64::INFINITY);
-    for (tier, mech) in QualityTier::ALL.into_iter().zip([
-        &exact.mechanism,
-        &clustered.mechanism,
-        &spanner.mechanism,
-        &laplace,
-    ]) {
+    for (tier, mech) in
+        QualityTier::ALL
+            .into_iter()
+            .zip([&exact.mechanism, &clustered.mechanism, &laplace])
+    {
         assert!(
             privacy::verify(mech, &full_spec, 1e-6),
             "{} rung violates full Geo-I at ε={tier_eps}",
@@ -249,13 +238,12 @@ fn main() {
     println!(
         "bench_service: OK — {requests_total} requests over {batches} batches × {N_SHARDS} shards, \
          {:.1}% cache hits, {:.1}% fallback-served, {:.0} req/s, {audited} mechanisms audited; \
-         tier ETDD exact {:.4} ≤ clustered {:.4} ≤ spanner {:.4} ≤ laplace {:.4} → {out}",
+         tier ETDD exact {:.4} ≤ clustered {:.4} ≤ laplace {:.4} → {out}",
         hit_rate * 100.0,
         fallback_share * 100.0,
         throughput,
         tier_etdd[0],
         tier_etdd[1],
-        tier_etdd[2],
-        tier_etdd[3]
+        tier_etdd[2]
     );
 }

@@ -86,4 +86,4 @@ pub use instance::{SolvedVlp, VlpInstance};
 pub use local::{LocalShard, LocalSolve, LocalityPlan, Neighborhood};
 pub use mechanism::Mechanism;
 pub use privacy::{PrivacyConstraint, PrivacySpec};
-pub use tiers::{clustered_mechanism, spanner_mechanism, support_d_hat, QualityTier, TierSolve};
+pub use tiers::{clustered_mechanism, QualityTier, TierSolve};

@@ -98,7 +98,6 @@ use crate::error::VlpError;
 use crate::instance::VlpInstance;
 use crate::mechanism::Mechanism;
 use crate::privacy::PrivacySpec;
-use crate::tiers::support_d_hat;
 
 /// One neighborhood of a [`LocalityPlan`]: a canonical center interval
 /// and the sorted global interval ids of its support ball `B(c, ρ+r)`.
@@ -277,9 +276,9 @@ pub struct LocalSolve {
     pub lp_vars: usize,
     /// LP inequality-row count of the constraint set actually solved:
     /// the chain-reduced restricted spec on a partial support, the
-    /// Algorithm 1 spec on a whole-shard one, the cluster or spanner
-    /// spec on the intermediate tiers. An exact solve never has more
-    /// rows than its audit spec induces.
+    /// Algorithm 1 spec on a whole-shard one, the chain-reduced
+    /// cluster spec on the clustered tier. An exact solve never has
+    /// more rows than its audit spec induces.
     pub lp_rows: usize,
 }
 
@@ -293,6 +292,20 @@ fn support_cost(table: &[f64], support: &[usize], f_p: &Prior, f_q: &Prior) -> C
     let at_support =
         |prior: &Prior| -> Vec<f64> { support.iter().map(|&g| prior.get(g)).collect() };
     CostMatrix::eq19(table, &at_support(f_p), &at_support(f_q))
+}
+
+/// The row-major `k × k` metric closure `d̂` (undirected
+/// auxiliary-graph distances) over a sorted `support` of interval ids:
+/// the distances the restricted graph-Laplace fallback decays with.
+fn support_d_hat(aux_graph: &RoadGraph, support: &[usize]) -> Vec<f64> {
+    let k = support.len();
+    let nodes: Vec<NodeId> = support.iter().map(|&g| NodeId(g)).collect();
+    let mut d = vec![0.0; k * k];
+    for (a, row) in d.chunks_mut(k).enumerate() {
+        let dists = distances_to_targets(aux_graph, nodes[a], &nodes, BallMetric::Undirected);
+        row.copy_from_slice(&dists);
+    }
+    d
 }
 
 /// Validates a support slice: non-empty, strictly increasing, in range.
@@ -439,7 +452,7 @@ impl SparseNodeDists {
 /// only its neighborhood.
 ///
 /// A neighborhood spanning the whole shard delegates exact solves,
-/// audit specs, fallbacks, and both intermediate tiers to a dense
+/// audit specs, fallbacks, and the clustered tier to a dense
 /// [`VlpInstance`], so it is bit-identical to the full-shard D-VLP.
 /// [`Self::whole_shard`] takes that instance at construction (the
 /// service's full mode); [`Self::uniform`] builds it on first use (e.g.
@@ -570,7 +583,7 @@ impl LocalShard {
 
     /// The dense instance backing whole-shard neighborhoods, built on
     /// first use unless the shard holds one (crate-visible so the
-    /// quality tiers in [`crate::tiers`] share it).
+    /// clustered tier in [`crate::tiers`] shares it).
     pub(crate) fn dense(&self) -> &Arc<VlpInstance> {
         self.dense.get_or_init(|| {
             Arc::new(VlpInstance::with_disc(
@@ -582,14 +595,8 @@ impl LocalShard {
         })
     }
 
-    /// The auxiliary graph (crate-visible for [`crate::tiers`], whose
-    /// spanner tier runs metric-closure Dijkstras over it).
-    pub(crate) fn aux_graph(&self) -> &RoadGraph {
-        &self.aux_graph
-    }
-
     /// The restricted cost matrix over `members`, shared by the exact
-    /// neighborhood solve and the quality tiers: the dense build's
+    /// neighborhood solve and the clustered tier: the dense build's
     /// midpoint table and Eq. 19 kernel, with node distances from
     /// target-terminated Dijkstra runs from the member edges' end nodes
     /// in place of the all-pairs matrix.

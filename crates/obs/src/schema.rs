@@ -100,7 +100,6 @@ pub const KNOWN_METRICS: &[&str] = &[
     "service.local.solves",
     "service.tier.exact.served",
     "service.tier.clustered.served",
-    "service.tier.spanner.served",
     "service.tier.laplace.served",
     "service.trace.charges",
     "service.trace.throttled",

@@ -81,8 +81,8 @@ pub(crate) struct ShardStats {
     pub(crate) rejected: u64,
     pub(crate) degraded: u64,
     /// Serves per quality tier, indexed by the `QualityTier`
-    /// discriminant (`Exact`, `Clustered`, `Spanner`, `Laplace`).
-    pub(crate) served_tier: [u64; 4],
+    /// discriminant (`Exact`, `Clustered`, `Laplace`).
+    pub(crate) served_tier: [u64; QualityTier::ALL.len()],
 }
 
 impl ShardStats {
@@ -507,9 +507,9 @@ impl CoreShared {
         let serve: Option<Serve> = {
             let mut t = lock(&shard.table);
             t.stats.requests += 1;
-            // Best-tier-first hit scan: a cached clustered or spanner
-            // mechanism still beats the fallback.
-            if let Some(tier) = t.cached_tier(slot, QualityTier::Spanner) {
+            // Best-tier-first hit scan: a cached clustered mechanism
+            // still beats the fallback.
+            if let Some(tier) = t.cached_tier(slot, QualityTier::Clustered) {
                 let hit = t
                     .cache
                     .get(slot.at_tier(tier))
@@ -876,8 +876,8 @@ impl CoreShared {
 }
 
 /// Runs one solve for `key` at `key.tier` on a shard's engine and
-/// packages it with its LP-shape stats. The intermediate tiers read
-/// their LP-reduction knobs from `tiers`.
+/// packages it with its LP-shape stats. The clustered tier reads its
+/// width from `tiers`.
 ///
 /// # Panics
 ///
@@ -895,9 +895,6 @@ fn solve(
         QualityTier::Exact => engine.solve_neighborhood(key.nb, epsilon, cg),
         QualityTier::Clustered => {
             engine.clustered_neighborhood(key.nb, epsilon, tiers.cluster_width, cg)
-        }
-        QualityTier::Spanner => {
-            engine.spanner_neighborhood(key.nb, epsilon, tiers.spanner_stretch, cg)
         }
         QualityTier::Laplace => {
             unreachable!("Laplace is built closed-form, never queued as a solve")
@@ -977,10 +974,6 @@ impl ServingCore {
         assert!(
             config.tiers.cluster_width >= 0.0 && config.tiers.cluster_width.is_finite(),
             "cluster width must be finite and non-negative"
-        );
-        assert!(
-            config.tiers.spanner_stretch >= 1.0 && config.tiers.spanner_stretch.is_finite(),
-            "spanner stretch must be finite and at least 1"
         );
         if let Some(budget) = &config.budget {
             budget.validate(config.epsilon_bucket);

@@ -222,8 +222,6 @@ pub mod metrics {
     /// Counter: requests served at the interval-clustering tier
     /// (`Clustered`).
     pub const TIER_CLUSTERED_SERVED: &str = "service.tier.clustered.served";
-    /// Counter: requests served at the spanner tier (`Spanner`).
-    pub const TIER_SPANNER_SERVED: &str = "service.tier.spanner.served";
     /// Counter: requests served at the graph-Laplace tier (`Laplace` —
     /// every fallback serve, whatever rung of the resilience ladder
     /// produced it).
@@ -247,14 +245,13 @@ pub mod metrics {
     /// spend, sampled once per epoch while accounting is enabled.
     pub const TRACE_FILL: &str = "service.trace.fill";
 
-    /// The per-tier served counter for `tier` — one of the four
+    /// The per-tier served counter for `tier` — one of the three
     /// `service.tier.<tier>.served` names above.
     pub fn tier_served_metric(tier: vlp_core::QualityTier) -> &'static str {
         use vlp_core::QualityTier;
         match tier {
             QualityTier::Exact => TIER_EXACT_SERVED,
             QualityTier::Clustered => TIER_CLUSTERED_SERVED,
-            QualityTier::Spanner => TIER_SPANNER_SERVED,
             QualityTier::Laplace => TIER_LAPLACE_SERVED,
         }
     }
@@ -327,8 +324,8 @@ pub struct ServiceConfig {
     /// harnesses like `bench_chaos` script solver faults, shard
     /// blackouts, evict storms, and deadline jitter through it.
     pub chaos: FaultPlan,
-    /// Quality-tier policy: the LP-reduction knobs of the intermediate
-    /// tiers ([`vlp_core::tiers`]) and the deadline floors that decide
+    /// Quality-tier policy: the cluster width of the intermediate
+    /// tier ([`vlp_core::tiers`]) and the deadline floors that decide
     /// which rung of the quality ladder a batch's cold solves run at.
     /// The default picks `Exact` for any nonzero deadline and the
     /// graph-Laplace fallback for a zero deadline — exactly the
@@ -371,7 +368,7 @@ impl Default for ServiceConfig {
 /// The quality ladder's tier-selection policy
 /// ([`ServiceConfig::tiers`]): which [`QualityTier`] a cold solve runs
 /// at, as a function of the remaining *logical* deadline, plus the
-/// LP-reduction knobs of the two intermediate tiers (see `DESIGN.md`,
+/// clustering width of the intermediate tier (see `DESIGN.md`,
 /// "Quality tiers"). Every tier's mechanism satisfies full-spec
 /// ε-Geo-I at the canonical ε — the ladder trades quality (ETDD), not
 /// privacy.
@@ -382,29 +379,19 @@ pub struct TierPolicy {
     /// the center's mechanism row. `0` degenerates to the exact
     /// (unclustered) LP.
     pub cluster_width: f64,
-    /// Stretch factor `t ≥ 1` of the `Spanner` tier's greedy t-spanner.
-    /// The spanner constraints are enforced at `ε/t`, so chaining
-    /// along spanner paths never loosens ε; larger stretch keeps fewer
-    /// constraints but over-tightens more.
-    pub spanner_stretch: f64,
     /// Minimum logical deadline at which a cold solve runs `Exact`.
     pub exact_floor: Duration,
     /// Minimum logical deadline for the `Clustered` tier (checked when
     /// the deadline is below [`TierPolicy::exact_floor`]).
     pub clustered_floor: Duration,
-    /// Minimum logical deadline for the `Spanner` tier (checked when
-    /// the deadline is below [`TierPolicy::clustered_floor`]).
-    pub spanner_floor: Duration,
 }
 
 impl Default for TierPolicy {
     fn default() -> Self {
         Self {
             cluster_width: 0.3,
-            spanner_stretch: 2.5,
             exact_floor: Duration::ZERO,
             clustered_floor: Duration::MAX,
-            spanner_floor: Duration::MAX,
         }
     }
 }
@@ -413,7 +400,7 @@ impl TierPolicy {
     /// The best tier whose deadline floor fits `deadline`. A zero
     /// deadline (the "never wait" contract) is always `Laplace`;
     /// otherwise the ladder is scanned best-first, falling through to
-    /// `Laplace` when even the spanner floor does not fit. The
+    /// `Laplace` when even the clustered floor does not fit. The
     /// deadline is *logical*, exactly like
     /// [`ServiceConfig::solve_deadline`] — no wall clock is raced.
     pub fn tier_for(&self, deadline: Duration) -> QualityTier {
@@ -423,8 +410,6 @@ impl TierPolicy {
             QualityTier::Exact
         } else if self.clustered_floor <= deadline {
             QualityTier::Clustered
-        } else if self.spanner_floor <= deadline {
-            QualityTier::Spanner
         } else {
             QualityTier::Laplace
         }
@@ -538,7 +523,7 @@ pub struct Obfuscation {
     /// at most the requested ε.
     pub epsilon: f64,
     /// The quality tier of the served mechanism: `Exact` for the full
-    /// CG optimum, `Clustered`/`Spanner` for the intermediate tiers,
+    /// CG optimum, `Clustered` for the intermediate tier,
     /// `Laplace` for every fallback serve. All tiers satisfy full-spec
     /// ε-Geo-I at [`Obfuscation::epsilon`].
     pub tier: QualityTier,
@@ -1096,12 +1081,13 @@ impl MechanismService {
         } else {
             tiers.background_tier()
         };
-        // Cache hits are scanned best-first, but never at a tier
-        // *better* than the deadline allows to solve — that keeps the
-        // default (all-Exact) policy scanning exactly one key, as
-        // before tiers existed. A zero deadline scans every solved
-        // tier: any cached LP optimum beats building nothing.
-        let scan_cap = target.min(QualityTier::Spanner);
+        // Cache hits are scanned best-first over the tiers at least as
+        // good as the deadline's own: a generous deadline never serves
+        // a degraded entry, and the default (all-Exact) policy scans
+        // exactly one key, as before tiers existed. A zero deadline
+        // scans every solved tier: any cached LP optimum beats
+        // building nothing.
+        let scan_cap = target.min(QualityTier::Clustered);
 
         // Phase A: route every request and classify hit/miss.
         struct Resolved {
@@ -1971,8 +1957,8 @@ mod tests {
     /// neighborhood and must reproduce full mode bit for bit — same
     /// provenance, same tiers, same sampled intervals, same locations —
     /// batch after batch: at a zero deadline (fallback, then exact
-    /// hits), at deadlines whose tier floors select the clustered and
-    /// spanner tiers, and across a worker-prior update on shard 0.
+    /// hits), at a deadline whose tier floor selects the clustered
+    /// tier, and across a worker-prior update on shard 0.
     #[test]
     fn local_mode_with_infinite_rho_matches_full_mode_bit_for_bit() {
         let mk = |local: Option<LocalConfig>| {
@@ -1997,9 +1983,7 @@ mod tests {
             (Duration::ZERO, 5.0, false),
             (Duration::ZERO, 5.0, false),
             (ms(80), 3.0, false),
-            (ms(20), 4.0, false),
             (ms(80), 3.0, true),
-            (ms(20), 4.0, false),
             (Duration::ZERO, 5.0, false),
             (ms(200), 5.0, false),
         ];
@@ -2132,15 +2116,13 @@ mod tests {
     }
 
     /// Tier floors that put every rung within a batch deadline's
-    /// reach: 200 ms solves `Exact`, 80 ms `Clustered`, 20 ms
-    /// `Spanner`, and zero serves `Laplace`.
+    /// reach: 200 ms solves `Exact`, 80 ms `Clustered`, and zero
+    /// serves `Laplace`.
     fn tier_floors() -> TierPolicy {
         TierPolicy {
             cluster_width: 0.3,
-            spanner_stretch: 2.0,
             exact_floor: Duration::from_millis(150),
             clustered_floor: Duration::from_millis(50),
-            spanner_floor: Duration::from_millis(10),
         }
     }
 
@@ -2152,8 +2134,8 @@ mod tests {
     }
 
     /// The deadline floors pick each rung of the quality ladder in
-    /// turn: a generous deadline solves `Exact`, tighter ones solve
-    /// `Clustered` then `Spanner`, and a zero deadline serves the
+    /// turn: a generous deadline solves `Exact`, a tighter one solves
+    /// `Clustered`, and a zero deadline serves the
     /// `Laplace` fallback while the background solve warms the cache.
     /// Every served tier's mechanism passes the full-spec privacy
     /// audit at its canonical ε.
@@ -2164,7 +2146,6 @@ mod tests {
         let schedule = [
             (Duration::from_millis(200), 2.0, QualityTier::Exact),
             (Duration::from_millis(80), 3.0, QualityTier::Clustered),
-            (Duration::from_millis(20), 4.0, QualityTier::Spanner),
             (Duration::ZERO, 6.0, QualityTier::Laplace),
         ];
         for (deadline, eps, want) in schedule {
@@ -2192,10 +2173,10 @@ mod tests {
     }
 
     /// The tiered hit scan: a key cached at a worse tier serves hits
-    /// under a tight deadline, but a generous deadline refuses to
-    /// degrade and solves the exact optimum instead. Zero-deadline
-    /// batches hit the background-tier solve their own cold round
-    /// admitted.
+    /// under a tight deadline, and under a zero deadline on both
+    /// frontends, but a generous deadline refuses to degrade and solves
+    /// the exact optimum instead. Zero-deadline batches hit the
+    /// background-tier solve their own cold round admitted.
     #[test]
     fn hit_scan_serves_best_cached_tier_within_the_deadline() {
         let mut svc = tiered_service();
@@ -2206,11 +2187,24 @@ mod tests {
         let out = svc.obfuscate_batch_with_deadline(&reqs, Duration::from_millis(80), &mut rng);
         assert!(out.iter().all(|o| o.tier == QualityTier::Clustered));
         // Same deadline again: a pure hit on the clustered entry.
+        let clustered_hit = |o: &Obfuscation| {
+            o.tier == QualityTier::Clustered && o.served == Served::Optimal { cached: true }
+        };
         let out = svc.obfuscate_batch_with_deadline(&reqs, Duration::from_millis(80), &mut rng);
-        assert!(out
-            .iter()
-            .all(|o| o.tier == QualityTier::Clustered
-                && o.served == Served::Optimal { cached: true }));
+        assert!(out.iter().all(clustered_hit));
+        // With only the clustered entry cached, a zero deadline hits it
+        // on both frontends rather than falling back.
+        let out = svc.obfuscate_batch_with_deadline(&reqs, Duration::ZERO, &mut rng);
+        assert!(
+            out.iter().all(clustered_hit),
+            "zero-deadline batch: {out:?}"
+        );
+        for &(w, loc, eps) in &reqs {
+            match svc.submit(w, loc, eps, &mut rng) {
+                Response::Served(o) => assert!(clustered_hit(&o), "submit: {o:?}"),
+                other => panic!("submit must hit the clustered entry, got {other:?}"),
+            }
+        }
         // A generous deadline must not serve the degraded entry: it
         // solves (and caches) the exact optimum alongside it.
         let out = svc.obfuscate_batch_with_deadline(&reqs, Duration::from_millis(200), &mut rng);
@@ -2278,7 +2272,6 @@ mod tests {
             metrics::LOCAL_SOLVES,
             metrics::TIER_EXACT_SERVED,
             metrics::TIER_CLUSTERED_SERVED,
-            metrics::TIER_SPANNER_SERVED,
             metrics::TIER_LAPLACE_SERVED,
             metrics::TRACE_CHARGES,
             metrics::TRACE_THROTTLED,

@@ -283,7 +283,8 @@ impl TraceLedger {
     pub(crate) fn admit(&mut self, worker: WorkerId, requested: f64, width: f64) -> Admission {
         let spent = self.spent.get(&worker).copied().unwrap_or(0.0);
         let raw = self.config.throttled(requested, spent);
-        let granted = grid_steps(raw, width) * width;
+        let steps = grid_steps(raw, width);
+        let granted = steps * width;
         if granted < width {
             self.stats.refusals += 1;
             let remaining = (self.config.trace_budget - spent).max(0.0);
@@ -298,7 +299,7 @@ impl TraceLedger {
         self.spent.insert(worker, spent + granted);
         Admission::Granted {
             epsilon: granted,
-            throttled: granted + 1e-12 < grid_steps(requested, width) * width,
+            throttled: steps < grid_steps(requested, width),
         }
     }
 
