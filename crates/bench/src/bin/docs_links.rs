@@ -283,6 +283,15 @@ mod tests {
     }
 
     #[test]
+    fn generated_registry_rejects_a_misspelled_name() {
+        assert!(metric_resolves("service.cache_hits"));
+        assert!(!metric_resolves("service.cache_hitz"));
+        // Names formatted from a shard index or a tier still resolve.
+        assert!(metric_resolves("service.breaker.state.<s>"));
+        assert!(metric_resolves("service.tier.<tier>.served"));
+    }
+
+    #[test]
     fn extracts_metric_tokens_with_line_numbers() {
         let doc = "see `service.batch` and `ARCHITECTURE.md`\n\
                    | `chaos.injected.<site>` | counter |";

@@ -49,41 +49,9 @@ use std::time::{Duration, Instant};
 use lpsolve::{ColumnSpec, IncrementalLp, LinearProgram, Relation, ResolveStats};
 
 /// Telemetry metric names recorded by this module into
-/// [`vlp_obs::global`]; per-iteration histories land in series, time
-/// splits in timers, and totals in counters.
+/// [`vlp_obs::global`], declared in [`vlp_obs::schema::cg`].
 pub mod metrics {
-    /// Counter: column-generation runs.
-    pub const SOLVES: &str = "cg.solves";
-    /// Counter: master iterations across all runs.
-    pub const ITERATIONS: &str = "cg.iterations";
-    /// Counter: columns added across all runs.
-    pub const COLUMNS_ADDED: &str = "cg.columns_added";
-    /// Counter: simplex pivots spent in restricted-master resolves
-    /// (warm engine only; the cold path's pivots are visible in
-    /// `lpsolve.simplex.pivots`).
-    pub const MASTER_PIVOTS: &str = "cg.master_pivots";
-    /// Counter: simplex pivots spent in pricing resolves (warm engine
-    /// only).
-    pub const PRICING_PIVOTS: &str = "cg.pricing_pivots";
-    /// Series: restricted-master objective after each master solve.
-    pub const MASTER_OBJECTIVE: &str = "cg.master_objective";
-    /// Series: dual lower bound ω (Theorem 4.4) after each iteration.
-    pub const DUAL_BOUND: &str = "cg.dual_bound";
-    /// Series: `min_l ζ_l` after each pricing round.
-    pub const MIN_ZETA: &str = "cg.min_zeta";
-    /// Series: pricing threads used, one sample per run.
-    pub const THREADS_USED: &str = "cg.threads_used";
-    /// Timer: whole column-generation run.
-    pub const SOLVE_TIME: &str = "cg.solve";
-    /// Timer: cumulative restricted-master share of each run.
-    pub const MASTER_TIME: &str = "cg.master";
-    /// Timer: cumulative pricing share of each run.
-    pub const PRICING_TIME: &str = "cg.pricing";
-    /// Timer: cumulative time inside warm-started LP resolves.
-    pub const WARM_TIME: &str = "cg.warm";
-    /// Timer: cumulative time inside cold LP solves of the warm engine
-    /// (first solves and numerical fallbacks).
-    pub const COLD_TIME: &str = "cg.cold";
+    pub use vlp_obs::schema::cg::*;
 }
 
 use crate::cost::CostMatrix;

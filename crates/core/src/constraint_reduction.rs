@@ -26,19 +26,10 @@ use roadnet::{NodeId, ShortestPathTree, TreeDirection};
 use crate::auxiliary::AuxiliaryGraph;
 use crate::privacy::{PrivacyConstraint, PrivacySpec};
 
-/// Telemetry metric names recorded by constraint reduction.
+/// Telemetry metric names recorded by constraint reduction, declared
+/// in [`vlp_obs::schema::cr`].
 pub mod metrics {
-    /// Counter: number of `reduced_spec` invocations.
-    pub const REDUCTIONS: &str = "cr.reductions";
-    /// Series: directed pair count of the *unreduced* spec, `K·(K−1)`,
-    /// one sample per reduction (the O(K²) baseline of Theorem 4.2).
-    pub const CONSTRAINTS_FULL: &str = "cr.constraints_full";
-    /// Series: directed pair count after reduction, one sample per
-    /// reduction (the O(K) set of Algorithm 1).
-    pub const CONSTRAINTS_REDUCED: &str = "cr.constraints_reduced";
-    /// Timer: wall time of one `reduced_spec` call (SPT walks plus the
-    /// unordered-pair collapse).
-    pub const REDUCE_TIME: &str = "cr.reduce";
+    pub use vlp_obs::schema::cr::*;
 }
 
 /// The output of Algorithm 1: which adjacent interval pairs carry a

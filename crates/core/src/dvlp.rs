@@ -22,18 +22,10 @@ use crate::error::VlpError;
 use crate::mechanism::Mechanism;
 use crate::privacy::PrivacySpec;
 
-/// Telemetry metric names recorded by the direct D-VLP solver.
+/// Telemetry metric names recorded by the direct D-VLP solver,
+/// declared in [`vlp_obs::schema::dvlp`].
 pub mod metrics {
-    /// Counter: number of `solve_direct` invocations.
-    pub const SOLVES: &str = "dvlp.solves";
-    /// Timer: time to assemble the LP (objective plus all constraint
-    /// rows) before the simplex runs.
-    pub const MATRIX_BUILD_TIME: &str = "dvlp.matrix_build";
-    /// Timer: end-to-end wall time of one `solve_direct` call.
-    pub const SOLVE_TIME: &str = "dvlp.solve";
-    /// Series: LP row count per solve (`K` unit-measure rows plus
-    /// `K · |constraints|` Geo-I rows).
-    pub const LP_ROWS: &str = "dvlp.lp_rows";
+    pub use vlp_obs::schema::dvlp::*;
 }
 
 /// Tolerance used when validating the returned matrix.

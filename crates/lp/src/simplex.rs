@@ -43,39 +43,11 @@ use crate::error::LpError;
 use crate::problem::{Constraint, LinearProgram, Relation, Solution};
 
 /// Telemetry metric names recorded by this module (via
-/// [`vlp_obs::global`]). Counted locally in the pivot loop and flushed
-/// once per solve, so instrumentation adds no per-pivot locking.
+/// [`vlp_obs::global`]), declared in [`vlp_obs::schema::lpsolve`].
+/// Counted locally in the pivot loop and flushed once per solve, so
+/// instrumentation adds no per-pivot locking.
 pub mod metrics {
-    /// Counter: total calls to the solver (cold and warm alike).
-    pub const SOLVES: &str = "lpsolve.simplex.solves";
-    /// Counter: pivots across both phases (incl. artificial drive-out).
-    pub const PIVOTS: &str = "lpsolve.simplex.pivots";
-    /// Counter: periodic + phase-boundary refactorizations (one that
-    /// finds the basis singular is not counted).
-    pub const REFACTORIZATIONS: &str = "lpsolve.simplex.refactorizations";
-    /// Counter: refactorization work, rows × kernel columns (`m·s`)
-    /// summed over refactorizations — a deterministic measure of what
-    /// the kernel factorizations cost.
-    pub const REFACTOR_WORK: &str = "lpsolve.simplex.refactor_work";
-    /// Counter: phase-1 simplex iterations.
-    pub const PHASE1_ITERATIONS: &str = "lpsolve.simplex.phase1_iterations";
-    /// Counter: phase-2 simplex iterations.
-    pub const PHASE2_ITERATIONS: &str = "lpsolve.simplex.phase2_iterations";
-    /// Timer: wall-clock time of each solve.
-    pub const SOLVE_TIME: &str = "lpsolve.simplex.solve";
-    /// Counter: warm-started `IncrementalLp::resolve` calls that reused
-    /// the previous optimal basis.
-    pub const WARM_RESOLVES: &str = "lpsolve.warm.resolves";
-    /// Counter: cold solves performed by the incremental engine (first
-    /// solves and fallbacks after a failed warm attempt).
-    pub const WARM_COLD_SOLVES: &str = "lpsolve.warm.cold_solves";
-    /// Counter: warm resolves that skipped a phase 1 a cold solve would
-    /// have run (the problem has artificial columns).
-    pub const WARM_PHASE1_SKIPPED: &str = "lpsolve.warm.phase1_skipped";
-    /// Counter: pivots spent inside warm-started resolves.
-    pub const WARM_PIVOTS: &str = "lpsolve.warm.pivots";
-    /// Counter: columns appended to live warm bases.
-    pub const WARM_COLUMNS_ADDED: &str = "lpsolve.warm.columns_added";
+    pub use vlp_obs::schema::lpsolve::*;
 }
 
 /// Per-solve event tallies, flushed to the global registry at the end

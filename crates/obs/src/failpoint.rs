@@ -60,34 +60,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Well-known failpoint site names wired through the workspace.
-///
-/// Sites live here (rather than in the crates that check them) so the
-/// chaos harness, the runbook (`OPERATIONS.md`), and the instrumented
-/// crates agree on one spelling.
+/// Well-known failpoint site names wired through the workspace,
+/// declared in [`crate::schema::site`].
 pub mod site {
-    /// Fails [`LinearProgram::solve`](https://docs.rs/lpsolve) with an
-    /// injected solver error. Keyed by the orchestrator's work unit.
-    pub const LP_SOLVE: &str = "lp.solve.fault";
-    /// Fails `IncrementalLp::resolve` with an injected solver error.
-    pub const LP_RESOLVE: &str = "lp.resolve.fault";
-    /// Panics inside a column-generation pricing round (a worker-crash
-    /// stand-in; serving layers must contain it).
-    pub const CG_PRICING_PANIC: &str = "cg.pricing.panic";
-    /// Collapses the mechanism service's solve deadline to zero for
-    /// the keyed batch.
-    pub const SERVICE_DEADLINE_JITTER: &str = "service.deadline.jitter";
-    /// Demotes every cached mechanism to the stale store at the start
-    /// of the keyed batch (an eviction storm / cache poisoning purge).
-    pub const SERVICE_EVICT_STORM: &str = "service.cache.evict_storm";
-    /// Prefix for per-shard blackout sites: `service.shard.blackout.3`
-    /// makes every solve on shard 3 fail for the keyed batch, as if
-    /// the shard's workers crashed.
-    pub const SERVICE_SHARD_BLACKOUT: &str = "service.shard.blackout";
+    pub use crate::schema::site::*;
 
     /// The blackout site name for shard `s`.
     pub fn shard_blackout(s: usize) -> String {
-        format!("{SERVICE_SHARD_BLACKOUT}.{s}")
+        format!("{SERVICE_SHARD_BLACKOUT}{s}")
     }
 }
 
@@ -242,12 +222,13 @@ impl FaultPlan {
     /// `chaos.injected.<site>` accounting in the
     /// [`global`](crate::global) registry for configured sites.
     pub fn evaluate(&self, site: &str, key: u64) -> bool {
+        use crate::schema::chaos::{EVALUATED, INJECTED};
         if !matches!(self.sites.get(site), None | Some(FaultMode::Off)) {
-            crate::global().incr(&format!("chaos.evaluated.{site}"), 1);
+            crate::global().incr(&format!("{EVALUATED}{site}"), 1);
         }
         let fired = self.decide(site, key);
         if fired {
-            crate::global().incr(&format!("chaos.injected.{site}"), 1);
+            crate::global().incr(&format!("{INJECTED}{site}"), 1);
         }
         fired
     }

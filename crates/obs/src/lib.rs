@@ -166,18 +166,19 @@ impl Registry {
     }
 
     /// Starts a scoped timer; the span is recorded when the guard
-    /// drops.
+    /// drops. The guard borrows `name`, a declared constant, so
+    /// starting a span allocates nothing.
     #[must_use = "the span is recorded when the returned guard drops"]
-    pub fn start(&self, name: &str) -> SpanGuard<'_> {
+    pub fn start(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard {
             registry: self,
-            name: name.to_string(),
+            name,
             started: Instant::now(),
         }
     }
 
     /// Times `f` as one span under `name` and returns its result.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let _span = self.start(name);
         f()
     }
@@ -251,14 +252,14 @@ impl Registry {
 /// Records one timer span on drop; created by [`Registry::start`].
 pub struct SpanGuard<'a> {
     registry: &'a Registry,
-    name: String,
+    name: &'static str,
     started: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.registry
-            .record_duration(&self.name, self.started.elapsed());
+            .record_duration(self.name, self.started.elapsed());
     }
 }
 

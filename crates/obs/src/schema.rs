@@ -1,6 +1,14 @@
 //! Validation of the snapshot JSON layout, plus the workspace's metric
 //! name registry.
 //!
+//! Every fixed metric name, failpoint site name and library family
+//! prefix is declared once here, with its doc comment, in one module
+//! per family ([`roadnet`], [`lpsolve`], [`cg`], [`dvlp`], [`cr`],
+//! [`platform`], [`service`], [`site`], [`chaos`]). Each crate's
+//! `metrics` module re-exports its family, and [`KNOWN_METRICS`] and
+//! [`METRIC_FAMILIES`] are generated from the same declarations, so the
+//! registry cannot drift from the names the code records.
+//!
 //! CI runs [`validate_snapshot`] against `artifacts/bench_smoke.json`
 //! so schema drift is caught by the pipeline, not by downstream
 //! dashboards, and the `docs_links` gate checks every metric name
@@ -12,124 +20,380 @@ use serde_json::Value;
 
 use crate::SCHEMA_VERSION;
 
-/// Every statically-named metric the workspace records, by family.
-/// Dynamically-formatted names (per-shard series, per-site chaos
-/// counters, per-bench artifacts) are covered by [`METRIC_FAMILIES`]
-/// instead. A name listed here and never recorded is doc/code drift —
-/// `crates/platform` pins its `service.*` constants against this list.
-pub const KNOWN_METRICS: &[&str] = &[
-    // roadnet
-    "roadnet.dijkstra.runs",
-    "roadnet.dijkstra.settled_nodes",
-    // lpsolve (bounded revised simplex + warm-start pool)
-    "lpsolve.simplex.phase1_iterations",
-    "lpsolve.simplex.phase2_iterations",
-    "lpsolve.simplex.pivots",
-    "lpsolve.simplex.refactor_work",
-    "lpsolve.simplex.refactorizations",
-    "lpsolve.simplex.solve",
-    "lpsolve.simplex.solves",
-    "lpsolve.warm.cold_solves",
-    "lpsolve.warm.columns_added",
-    "lpsolve.warm.phase1_skipped",
-    "lpsolve.warm.pivots",
-    "lpsolve.warm.resolves",
-    // column generation
-    "cg.cold",
-    "cg.columns_added",
-    "cg.dual_bound",
-    "cg.iterations",
-    "cg.master",
-    "cg.master_objective",
-    "cg.master_pivots",
-    "cg.min_zeta",
-    "cg.pricing",
-    "cg.pricing_pivots",
-    "cg.solve",
-    "cg.solves",
-    "cg.threads_used",
-    "cg.warm",
-    // direct D-VLP solver and constraint reduction
-    "dvlp.lp_rows",
-    "dvlp.matrix_build",
-    "dvlp.solve",
-    "dvlp.solves",
-    "cr.constraints_full",
-    "cr.constraints_reduced",
-    "cr.reduce",
-    "cr.reductions",
-    // platform assignment loop
-    "platform.assignment_distortion_km",
-    "platform.assignment_est_km",
-    "platform.assignments",
-    "platform.mechanism_resolve",
-    "platform.refreshes",
-    "platform.reports_received",
-    "platform.snapshot",
-    "platform.snapshots",
-    // mechanism service
-    "service.requests",
-    "service.batch",
-    "service.cache_hits",
-    "service.cache_misses",
-    "service.cache_evictions",
-    "service.optimal_served",
-    "service.fallback_served",
-    "service.solve",
-    "service.solve_errors",
-    "service.off_partition",
-    "service.prior_invalidations",
-    "service.retry.attempts",
-    "service.solve_panics",
-    "service.stale_served",
-    "service.stale_demotions",
-    "service.breaker.opened",
-    "service.breaker.half_open",
-    "service.breaker.reclosed",
-    "service.breaker.shed",
-    "service.queue.enqueued",
-    "service.queue.coalesced",
-    "service.queue.full",
-    "service.queue.drained",
-    "service.shed.rejected",
-    "service.shed.degraded",
-    "service.solve.support",
-    "service.solve.lp_vars",
-    "service.solve.lp_rows",
-    "service.local.neighborhoods",
-    "service.local.solves",
-    "service.tier.exact.served",
-    "service.tier.clustered.served",
-    "service.tier.laplace.served",
-    "service.trace.charges",
-    "service.trace.throttled",
-    "service.trace.refusals",
-    "service.trace.exhausted",
-    "service.trace.fill",
-    // failpoint site names (documented alongside the chaos counters)
-    "service.cache.evict_storm",
-    "service.deadline.jitter",
-    "cg.pricing.panic",
-    "lp.resolve.fault",
-    "lp.solve.fault",
-];
+/// Declares each family as a module of `&str` constants and emits
+/// [`KNOWN_METRICS`] (every fixed name) and [`METRIC_FAMILIES`] (every
+/// `prefixes` entry, then the `benches` namespaces) from the same
+/// items. A family's `prefixes` begin the names it formats at run
+/// time, one per shard or site.
+macro_rules! metric_schema {
+    (
+        $(
+            $(#[$family_doc:meta])+
+            $family:ident {
+                $( $(#[$doc:meta])* $name:ident = $value:literal; )*
+            }
+            $( prefixes {
+                $( $(#[$prefix_doc:meta])* $prefix:ident = $prefix_value:literal; )*
+            } )?
+        )*
+        benches [ $( $bench:literal ),* $(,)? ]
+    ) => {
+        $(
+            $(#[$family_doc])+
+            pub mod $family {
+                $( $(#[$doc])* pub const $name: &str = $value; )*
+                $( $( $(#[$prefix_doc])* pub const $prefix: &str = $prefix_value; )* )?
+            }
+        )*
 
-/// Prefix families for dynamically-formatted metric names: per-shard
-/// health series, per-site chaos accounting, and the benches' own
-/// artifact namespaces (each bench versions its own report contents).
-pub const METRIC_FAMILIES: &[&str] = &[
-    "service.breaker.state.",
-    "service.queue.depth.",
-    "service.shard.blackout.",
-    "chaos.evaluated.",
-    "chaos.injected.",
-    "bench_smoke.",
-    "bench_service.",
-    "bench_load.",
-    "bench_local.",
-    "bench_chaos.",
-    "bench_traces.",
-];
+        /// Every fixed metric and failpoint site name the workspace
+        /// records, generated from the family modules. Names formatted
+        /// at run time (per-shard series, per-site chaos counters,
+        /// per-bench artifacts) are covered by [`METRIC_FAMILIES`]
+        /// instead. A name listed here and never recorded is doc/code
+        /// drift.
+        pub const KNOWN_METRICS: &[&str] = &[ $( $( $family::$name, )* )* ];
+
+        /// Prefix families for dynamically-formatted metric names: the
+        /// library families' declared prefixes (per-shard health series,
+        /// per-shard blackout sites, per-site chaos accounting), then
+        /// the benches' own artifact namespaces (each bench versions
+        /// its own report contents).
+        pub const METRIC_FAMILIES: &[&str] = &[
+            $( $( $( $family::$prefix, )* )? )*
+            $( $bench, )*
+        ];
+
+        /// Each family's name with every name and prefix it declares,
+        /// for the registry's own tests.
+        #[cfg_attr(not(test), allow(dead_code))]
+        const FAMILIES: &[(&str, &[&str])] = &[
+            $( (stringify!($family), &[ $( $family::$name, )* $( $( $family::$prefix, )* )? ]), )*
+        ];
+    };
+}
+
+metric_schema! {
+    /// Shortest-path telemetry, recorded by `roadnet::shortest_path`.
+    roadnet {
+        /// Counter: single-source Dijkstra runs (one per tree, ball or
+        /// targeted run, and one per source of an all-pairs build).
+        DIJKSTRA_RUNS = "roadnet.dijkstra.runs";
+        /// Counter: total nodes settled (popped with a final distance)
+        /// across all Dijkstra runs.
+        SETTLED_NODES = "roadnet.dijkstra.settled_nodes";
+    }
+
+    /// Simplex and warm-start telemetry, recorded by `lpsolve`.
+    lpsolve {
+        /// Counter: total calls to the solver (cold and warm alike).
+        SOLVES = "lpsolve.simplex.solves";
+        /// Counter: pivots across both phases (incl. artificial drive-out).
+        PIVOTS = "lpsolve.simplex.pivots";
+        /// Counter: periodic + phase-boundary refactorizations (one that
+        /// finds the basis singular is not counted).
+        REFACTORIZATIONS = "lpsolve.simplex.refactorizations";
+        /// Counter: refactorization work, rows × kernel columns (`m·s`)
+        /// summed over refactorizations — a deterministic measure of what
+        /// the kernel factorizations cost.
+        REFACTOR_WORK = "lpsolve.simplex.refactor_work";
+        /// Counter: phase-1 simplex iterations.
+        PHASE1_ITERATIONS = "lpsolve.simplex.phase1_iterations";
+        /// Counter: phase-2 simplex iterations.
+        PHASE2_ITERATIONS = "lpsolve.simplex.phase2_iterations";
+        /// Timer: wall-clock time of each solve.
+        SOLVE_TIME = "lpsolve.simplex.solve";
+        /// Counter: warm-started `IncrementalLp::resolve` calls that reused
+        /// the previous optimal basis.
+        WARM_RESOLVES = "lpsolve.warm.resolves";
+        /// Counter: cold solves performed by the incremental engine (first
+        /// solves and fallbacks after a failed warm attempt).
+        WARM_COLD_SOLVES = "lpsolve.warm.cold_solves";
+        /// Counter: warm resolves that skipped a phase 1 a cold solve would
+        /// have run (the problem has artificial columns).
+        WARM_PHASE1_SKIPPED = "lpsolve.warm.phase1_skipped";
+        /// Counter: pivots spent inside warm-started resolves.
+        WARM_PIVOTS = "lpsolve.warm.pivots";
+        /// Counter: columns appended to live warm bases.
+        WARM_COLUMNS_ADDED = "lpsolve.warm.columns_added";
+    }
+
+    /// Column-generation telemetry, recorded by
+    /// `vlp_core::column_generation`: per-iteration histories land in
+    /// series, time splits in timers, and totals in counters.
+    cg {
+        /// Counter: column-generation runs.
+        SOLVES = "cg.solves";
+        /// Counter: master iterations across all runs.
+        ITERATIONS = "cg.iterations";
+        /// Counter: columns added across all runs.
+        COLUMNS_ADDED = "cg.columns_added";
+        /// Counter: simplex pivots spent in restricted-master resolves
+        /// (warm engine only; the cold path's pivots are visible in
+        /// `lpsolve.simplex.pivots`).
+        MASTER_PIVOTS = "cg.master_pivots";
+        /// Counter: simplex pivots spent in pricing resolves (warm engine
+        /// only).
+        PRICING_PIVOTS = "cg.pricing_pivots";
+        /// Series: restricted-master objective after each master solve.
+        MASTER_OBJECTIVE = "cg.master_objective";
+        /// Series: dual lower bound ω (Theorem 4.4) after each iteration.
+        DUAL_BOUND = "cg.dual_bound";
+        /// Series: `min_l ζ_l` after each pricing round.
+        MIN_ZETA = "cg.min_zeta";
+        /// Series: pricing threads used, one sample per run.
+        THREADS_USED = "cg.threads_used";
+        /// Timer: whole column-generation run.
+        SOLVE_TIME = "cg.solve";
+        /// Timer: cumulative restricted-master share of each run.
+        MASTER_TIME = "cg.master";
+        /// Timer: cumulative pricing share of each run.
+        PRICING_TIME = "cg.pricing";
+        /// Timer: cumulative time inside warm-started LP resolves.
+        WARM_TIME = "cg.warm";
+        /// Timer: cumulative time inside cold LP solves of the warm engine
+        /// (first solves and numerical fallbacks).
+        COLD_TIME = "cg.cold";
+    }
+
+    /// Direct D-VLP solver telemetry, recorded by `vlp_core::dvlp`.
+    dvlp {
+        /// Counter: number of `solve_direct` invocations.
+        SOLVES = "dvlp.solves";
+        /// Timer: time to assemble the LP (objective plus all constraint
+        /// rows) before the simplex runs.
+        MATRIX_BUILD_TIME = "dvlp.matrix_build";
+        /// Timer: end-to-end wall time of one `solve_direct` call.
+        SOLVE_TIME = "dvlp.solve";
+        /// Series: LP row count per solve (`K` unit-measure rows plus
+        /// `K · |constraints|` Geo-I rows).
+        LP_ROWS = "dvlp.lp_rows";
+    }
+
+    /// Constraint-reduction telemetry, recorded by
+    /// `vlp_core::constraint_reduction`.
+    cr {
+        /// Counter: number of `reduced_spec` invocations.
+        REDUCTIONS = "cr.reductions";
+        /// Series: directed pair count of the *unreduced* spec, `K·(K−1)`,
+        /// one sample per reduction (the O(K²) baseline of Theorem 4.2).
+        CONSTRAINTS_FULL = "cr.constraints_full";
+        /// Series: directed pair count after reduction, one sample per
+        /// reduction (the O(K) set of Algorithm 1).
+        CONSTRAINTS_REDUCED = "cr.constraints_reduced";
+        /// Timer: wall time of one `reduced_spec` call (SPT walks plus the
+        /// unordered-pair collapse).
+        REDUCE_TIME = "cr.reduce";
+    }
+
+    /// Assignment-loop telemetry, recorded by the platform's snapshot
+    /// assignment and, for the distortion, refresh, and re-solve
+    /// metrics, by `platform::Simulation`, which alone sees true worker
+    /// locations and owns the prior-drift check.
+    platform {
+        /// Counter: assignment snapshots served.
+        SNAPSHOTS = "platform.snapshots";
+        /// Timer: wall time of one assignment snapshot (report intake plus
+        /// Hungarian matching) — the per-request report latency.
+        SNAPSHOT_TIME = "platform.snapshot";
+        /// Counter: obfuscated worker reports received across snapshots.
+        REPORTS_RECEIVED = "platform.reports_received";
+        /// Counter: task-worker assignments made.
+        ASSIGNMENTS = "platform.assignments";
+        /// Series: the server's estimated travel distance per assignment,
+        /// km (computed from the *reported* interval).
+        ASSIGNMENT_EST_KM = "platform.assignment_est_km";
+        /// Series: per-assignment distortion `|estimated − true|` travel
+        /// km — recorded by `platform::Simulation`, which knows true
+        /// locations; the server itself never does.
+        ASSIGNMENT_DISTORTION_KM = "platform.assignment_distortion_km";
+        /// Counter: mechanism refreshes triggered by prior drift.
+        REFRESHES = "platform.refreshes";
+        /// Timer: wall time of one mechanism (re-)solve, including
+        /// constraint reduction and column generation.
+        RESOLVE_TIME = "platform.mechanism_resolve";
+    }
+
+    /// Mechanism-service telemetry, recorded by
+    /// `platform::MechanismService`.
+    service {
+        /// Counter: obfuscation requests received (batch and open-loop).
+        REQUESTS = "service.requests";
+        /// Timer: wall time of one `obfuscate_batch` call.
+        BATCH_TIME = "service.batch";
+        /// Counter: requests whose `(shard, ε-bucket)` mechanism was
+        /// already cached when they arrived.
+        CACHE_HITS = "service.cache_hits";
+        /// Counter: requests that found no cached mechanism.
+        CACHE_MISSES = "service.cache_misses";
+        /// Counter: cache entries evicted to respect the capacity bound.
+        CACHE_EVICTIONS = "service.cache_evictions";
+        /// Counter: requests served from an optimally solved mechanism
+        /// (cached, or solved by this batch and served optimally).
+        OPTIMAL_SERVED = "service.optimal_served";
+        /// Counter: requests served from the graph-Laplace fallback (cold
+        /// key with the solve still in flight, or nothing better to shed
+        /// to).
+        FALLBACK_SERVED = "service.fallback_served";
+        /// Timer: wall time of one per-shard mechanism solve on a solver
+        /// worker.
+        SOLVE_TIME = "service.solve";
+        /// Counter: solves that exhausted their retries with an error (the
+        /// request degrades; nothing is cached).
+        SOLVE_ERRORS = "service.solve_errors";
+        /// Counter: requests whose location could not be mapped into any
+        /// shard — a dropped cross-boundary edge, an edge id outside the
+        /// map, or an offset that is NaN, negative, or past the edge's
+        /// length. The batch skips them; `submit` answers
+        /// `Response::OffPartition`.
+        OFF_PARTITION = "service.off_partition";
+        /// Counter: cache entries invalidated by a shard prior update.
+        PRIOR_INVALIDATIONS = "service.prior_invalidations";
+        /// Counter: solve attempts beyond the first (ladder rung 1). Each
+        /// retry is preceded by deterministic exponential backoff.
+        RETRY_ATTEMPTS = "service.retry.attempts";
+        /// Counter: solve attempts that panicked (e.g. an injected pricing
+        /// panic) and were contained by the worker's unwind boundary.
+        PANICS_CAUGHT = "service.solve_panics";
+        /// Counter: requests served from the stale store (ladder rung 3):
+        /// a previously optimal mechanism for the same `(shard, ε-bucket)`
+        /// that had been displaced from the cache.
+        STALE_SERVED = "service.stale_served";
+        /// Counter: cache entries demoted to the stale store (LRU
+        /// eviction, prior invalidation, or an evict storm).
+        STALE_DEMOTIONS = "service.stale_demotions";
+        /// Counter: breaker transitions into `Open` (ladder rung 2).
+        BREAKER_OPENED = "service.breaker.opened";
+        /// Counter: breaker transitions `Open` → `HalfOpen` after the
+        /// cooldown, admitting one probe solve.
+        BREAKER_HALF_OPEN = "service.breaker.half_open";
+        /// Counter: breaker transitions `HalfOpen` → `Closed` (a probe
+        /// solve succeeded; the shard recovered).
+        BREAKER_RECLOSED = "service.breaker.reclosed";
+        /// Counter: cache-miss solves shed without an attempt because the
+        /// shard's breaker was open (or its half-open probe slot was
+        /// taken).
+        BREAKER_SHED = "service.breaker.shed";
+        /// Counter: solve jobs admitted onto a shard's bounded queue.
+        QUEUE_ENQUEUED = "service.queue.enqueued";
+        /// Counter: cache misses that coalesced onto an in-flight solve
+        /// for the same `(shard, ε-bucket)` instead of enqueueing again.
+        QUEUE_COALESCED = "service.queue.coalesced";
+        /// Counter: solve admissions refused because the shard's queue was
+        /// full (explicit backpressure; the request is shed).
+        QUEUE_FULL = "service.queue.full";
+        /// Counter: queued solve jobs completed during a graceful
+        /// shutdown's drain.
+        QUEUE_DRAINED = "service.queue.drained";
+        /// Counter: open-loop requests rejected outright — shed with
+        /// nothing cached, stale, or previously built to degrade to.
+        SHED_REJECTED = "service.shed.rejected";
+        /// Counter: open-loop requests shed but served degraded (stale or
+        /// previously built fallback).
+        SHED_DEGRADED = "service.shed.degraded";
+        /// Counter: cumulative LP support size `k` over completed solves.
+        /// Divided by the solve count this is the mean support — `K` in
+        /// full-shard mode, the (much smaller) neighborhood size in
+        /// locally-relevant mode.
+        SOLVE_SUPPORT = "service.solve.support";
+        /// Counter: cumulative LP variable count (`k²`) over completed
+        /// solves — the measurable form of the `O(K²) → O(k²)` claim.
+        SOLVE_LP_VARS = "service.solve.lp_vars";
+        /// Counter: cumulative instantiated Geo-I inequality rows over
+        /// completed solves.
+        SOLVE_LP_ROWS = "service.solve.lp_rows";
+        /// Counter: ρ-net neighborhoods planned across all shards at boot
+        /// (locally-relevant mode only).
+        LOCAL_NEIGHBORHOODS = "service.local.neighborhoods";
+        /// Counter: solves completed by the locally-relevant engine.
+        LOCAL_SOLVES = "service.local.solves";
+        /// Counter: requests served at the exact tier (the full
+        /// column-generation optimum — `Exact` in
+        /// `vlp_core::QualityTier`).
+        TIER_EXACT_SERVED = "service.tier.exact.served";
+        /// Counter: requests served at the interval-clustering tier
+        /// (`Clustered`).
+        TIER_CLUSTERED_SERVED = "service.tier.clustered.served";
+        /// Counter: requests served at the graph-Laplace tier (`Laplace` —
+        /// every fallback serve, whatever rung of the resilience ladder
+        /// produced it).
+        TIER_LAPLACE_SERVED = "service.tier.laplace.served";
+        /// Counter: served reports charged against a vehicle's trace
+        /// budget ledger (accounting enabled only).
+        TRACE_CHARGES = "service.trace.charges";
+        /// Counter: charged reports served at a throttled ε — the ledger
+        /// was past the throttle knee, so the grant was shrunk below what
+        /// the raw request would have bucketed to.
+        TRACE_THROTTLED = "service.trace.throttled";
+        /// Counter: reports refused with `Response::BudgetExhausted` —
+        /// the throttled grant fell below one ε-bucket width.
+        TRACE_REFUSALS = "service.trace.refusals";
+        /// Counter: vehicles whose remaining trace budget dropped below
+        /// one ε-bucket width (terminal — every later report refuses);
+        /// counted once per vehicle.
+        TRACE_EXHAUSTED = "service.trace.exhausted";
+        /// Series: mean ledger fill fraction across vehicles with any
+        /// spend, sampled once per epoch while accounting is enabled.
+        TRACE_FILL = "service.trace.fill";
+    } prefixes {
+        /// Series family: shard `s`'s breaker state once per epoch,
+        /// `service.breaker.state.<s>` (`0` closed, `1` half-open, `2`
+        /// open). Part of the service's health snapshot.
+        BREAKER_STATE = "service.breaker.state.";
+        /// Series family: shard `s`'s in-flight solve count (queued plus
+        /// running) once per epoch, `service.queue.depth.<s>`.
+        QUEUE_DEPTH = "service.queue.depth.";
+    }
+
+    /// Well-known failpoint site names wired through the workspace,
+    /// re-exported as [`crate::failpoint::site`]. Sites are declared
+    /// here (rather than in the crates that check them) so the chaos
+    /// harness, the runbook (`OPERATIONS.md`), and the instrumented
+    /// crates agree on one spelling.
+    site {
+        /// Fails `lpsolve::LinearProgram::solve` with an injected solver
+        /// error. Keyed by the orchestrator's work unit.
+        LP_SOLVE = "lp.solve.fault";
+        /// Fails `IncrementalLp::resolve` with an injected solver error.
+        LP_RESOLVE = "lp.resolve.fault";
+        /// Panics inside a column-generation pricing round (a worker-crash
+        /// stand-in; serving layers must contain it).
+        CG_PRICING_PANIC = "cg.pricing.panic";
+        /// Collapses the mechanism service's solve deadline to zero for
+        /// the keyed batch.
+        SERVICE_DEADLINE_JITTER = "service.deadline.jitter";
+        /// Demotes every cached mechanism to the stale store at the start
+        /// of the keyed batch (an eviction storm / cache poisoning purge).
+        SERVICE_EVICT_STORM = "service.cache.evict_storm";
+    } prefixes {
+        /// Prefix for per-shard blackout sites: `service.shard.blackout.3`
+        /// makes every solve on shard 3 fail for the keyed batch, as if
+        /// the shard's workers crashed.
+        SERVICE_SHARD_BLACKOUT = "service.shard.blackout.";
+    }
+
+    /// Fault-injection accounting, recorded by
+    /// [`FaultPlan::evaluate`](crate::failpoint::FaultPlan::evaluate)
+    /// for every configured site.
+    chaos {
+    } prefixes {
+        /// Counter family: failpoint decisions taken at a site,
+        /// `chaos.evaluated.<site>`.
+        EVALUATED = "chaos.evaluated.";
+        /// Counter family: decisions that fired (injected a fault),
+        /// `chaos.injected.<site>`.
+        INJECTED = "chaos.injected.";
+    }
+
+    benches [
+        "bench_smoke.",
+        "bench_service.",
+        "bench_load.",
+        "bench_local.",
+        "bench_chaos.",
+        "bench_traces.",
+    ]
+}
 
 /// Whether `name` is a metric the workspace records: an exact entry in
 /// [`KNOWN_METRICS`] or an instance of a [`METRIC_FAMILIES`] prefix.
@@ -286,6 +550,29 @@ mod tests {
         assert!(is_known_metric_prefix("chaos."));
         assert!(is_known_metric_prefix("bench_load.wall."));
         assert!(!is_known_metric_prefix("telemetry."));
+    }
+
+    #[test]
+    fn registry_holds_no_duplicate_name() {
+        let mut seen = std::collections::HashSet::new();
+        for name in KNOWN_METRICS.iter().chain(METRIC_FAMILIES) {
+            assert!(seen.insert(name), "`{name}` is declared twice");
+        }
+    }
+
+    #[test]
+    fn every_name_starts_with_its_family_prefix() {
+        // Failpoint sites name the place they fire, so they share no
+        // prefix.
+        for &(family, names) in FAMILIES.iter().filter(|f| f.0 != "site") {
+            let prefix = format!("{family}.");
+            for name in names {
+                assert!(
+                    name.starts_with(&prefix),
+                    "`{name}` is declared in family `{family}`"
+                );
+            }
+        }
     }
 
     #[test]

@@ -56,12 +56,22 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The number of whole bucket widths in `epsilon`, floored: the one
-/// rounding rule of the ε grid, shared by [`CoreShared::bucket`] and
-/// the trace ledger. The nudge keeps exact multiples (5.0 / 0.25) from
-/// flooring into the bucket below through float error.
+/// The largest `n` with `n · width ≤ epsilon`, the product computed
+/// as the grant is: the one rounding rule of the ε grid, shared by
+/// [`CoreShared::bucket`] and the trace ledger. The quotient can land
+/// one step off either way through float error, so the floor is
+/// checked against the product: a grid point (`43.0 * 0.1`) keeps its
+/// own step, and a request just below one (`2.5 − 1 ulp`) never
+/// rounds up to it.
 pub(crate) fn grid_steps(epsilon: f64, width: f64) -> f64 {
-    (epsilon / width + 1e-9).floor()
+    let steps = (epsilon / width).floor();
+    if (steps + 1.0) * width <= epsilon {
+        steps + 1.0
+    } else if steps * width > epsilon {
+        steps - 1.0
+    } else {
+        steps
+    }
 }
 
 /// Per-shard counters accumulated under the table lock and published
@@ -409,7 +419,12 @@ impl CoreShared {
             "requested epsilon {epsilon} is below the bucket width {width}"
         );
         let bucket = grid_steps(epsilon, width) as u64;
-        (bucket, bucket as f64 * width)
+        let canonical = bucket as f64 * width;
+        assert!(
+            canonical <= epsilon,
+            "canonical epsilon {canonical} exceeds the request {epsilon}"
+        );
+        (bucket, canonical)
     }
 
     fn inflight_add(&self) {

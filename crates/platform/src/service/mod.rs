@@ -123,130 +123,14 @@ pub use core::ShutdownReport;
 pub use ladder::BreakerState;
 pub use trace::{TraceBudgetConfig, VelocityEpsilon};
 
-/// Telemetry metric names recorded by [`MechanismService`].
+/// Telemetry metric names recorded by [`MechanismService`], declared
+/// in [`vlp_obs::schema::service`], plus the helpers that pick a name
+/// by quality tier or format one per shard.
 pub mod metrics {
-    /// Counter: obfuscation requests received (batch and open-loop).
-    pub const REQUESTS: &str = "service.requests";
-    /// Timer: wall time of one `obfuscate_batch` call.
-    pub const BATCH_TIME: &str = "service.batch";
-    /// Counter: requests whose `(shard, ε-bucket)` mechanism was
-    /// already cached when they arrived.
-    pub const CACHE_HITS: &str = "service.cache_hits";
-    /// Counter: requests that found no cached mechanism.
-    pub const CACHE_MISSES: &str = "service.cache_misses";
-    /// Counter: cache entries evicted to respect the capacity bound.
-    pub const CACHE_EVICTIONS: &str = "service.cache_evictions";
-    /// Counter: requests served from an optimally solved mechanism
-    /// (cached, or solved by this batch and served optimally).
-    pub const OPTIMAL_SERVED: &str = "service.optimal_served";
-    /// Counter: requests served from the graph-Laplace fallback (cold
-    /// key with the solve still in flight, or nothing better to shed
-    /// to).
-    pub const FALLBACK_SERVED: &str = "service.fallback_served";
-    /// Timer: wall time of one per-shard mechanism solve on a solver
-    /// worker.
-    pub const SOLVE_TIME: &str = "service.solve";
-    /// Counter: solves that exhausted their retries with an error (the
-    /// request degrades; nothing is cached).
-    pub const SOLVE_ERRORS: &str = "service.solve_errors";
-    /// Counter: requests whose location could not be mapped into any
-    /// shard — a dropped cross-boundary edge, an edge id outside the
-    /// map, or an offset that is NaN, negative, or past the edge's
-    /// length. The batch skips them; `submit` answers
-    /// [`Response::OffPartition`](super::Response::OffPartition).
-    pub const OFF_PARTITION: &str = "service.off_partition";
-    /// Counter: cache entries invalidated by a shard prior update.
-    pub const PRIOR_INVALIDATIONS: &str = "service.prior_invalidations";
-    /// Counter: solve attempts beyond the first (ladder rung 1). Each
-    /// retry is preceded by deterministic exponential backoff.
-    pub const RETRY_ATTEMPTS: &str = "service.retry.attempts";
-    /// Counter: solve attempts that panicked (e.g. an injected pricing
-    /// panic) and were contained by the worker's unwind boundary.
-    pub const PANICS_CAUGHT: &str = "service.solve_panics";
-    /// Counter: requests served from the stale store (ladder rung 3):
-    /// a previously optimal mechanism for the same `(shard, ε-bucket)`
-    /// that had been displaced from the cache.
-    pub const STALE_SERVED: &str = "service.stale_served";
-    /// Counter: cache entries demoted to the stale store (LRU
-    /// eviction, prior invalidation, or an evict storm).
-    pub const STALE_DEMOTIONS: &str = "service.stale_demotions";
-    /// Counter: breaker transitions into `Open` (ladder rung 2).
-    pub const BREAKER_OPENED: &str = "service.breaker.opened";
-    /// Counter: breaker transitions `Open` → `HalfOpen` after the
-    /// cooldown, admitting one probe solve.
-    pub const BREAKER_HALF_OPEN: &str = "service.breaker.half_open";
-    /// Counter: breaker transitions `HalfOpen` → `Closed` (a probe
-    /// solve succeeded; the shard recovered).
-    pub const BREAKER_RECLOSED: &str = "service.breaker.reclosed";
-    /// Counter: cache-miss solves shed without an attempt because the
-    /// shard's breaker was open (or its half-open probe slot was
-    /// taken).
-    pub const BREAKER_SHED: &str = "service.breaker.shed";
-    /// Counter: solve jobs admitted onto a shard's bounded queue.
-    pub const QUEUE_ENQUEUED: &str = "service.queue.enqueued";
-    /// Counter: cache misses that coalesced onto an in-flight solve
-    /// for the same `(shard, ε-bucket)` instead of enqueueing again.
-    pub const QUEUE_COALESCED: &str = "service.queue.coalesced";
-    /// Counter: solve admissions refused because the shard's queue was
-    /// full (explicit backpressure; the request is shed).
-    pub const QUEUE_FULL: &str = "service.queue.full";
-    /// Counter: queued solve jobs completed during a graceful
-    /// shutdown's drain.
-    pub const QUEUE_DRAINED: &str = "service.queue.drained";
-    /// Counter: open-loop requests rejected outright — shed with
-    /// nothing cached, stale, or previously built to degrade to.
-    pub const SHED_REJECTED: &str = "service.shed.rejected";
-    /// Counter: open-loop requests shed but served degraded (stale or
-    /// previously built fallback).
-    pub const SHED_DEGRADED: &str = "service.shed.degraded";
-    /// Counter: cumulative LP support size `k` over completed solves.
-    /// Divided by the solve count this is the mean support — `K` in
-    /// full-shard mode, the (much smaller) neighborhood size in
-    /// locally-relevant mode.
-    pub const SOLVE_SUPPORT: &str = "service.solve.support";
-    /// Counter: cumulative LP variable count (`k²`) over completed
-    /// solves — the measurable form of the `O(K²) → O(k²)` claim.
-    pub const SOLVE_LP_VARS: &str = "service.solve.lp_vars";
-    /// Counter: cumulative instantiated Geo-I inequality rows over
-    /// completed solves.
-    pub const SOLVE_LP_ROWS: &str = "service.solve.lp_rows";
-    /// Counter: ρ-net neighborhoods planned across all shards at boot
-    /// (locally-relevant mode only).
-    pub const LOCAL_NEIGHBORHOODS: &str = "service.local.neighborhoods";
-    /// Counter: solves completed by the locally-relevant engine.
-    pub const LOCAL_SOLVES: &str = "service.local.solves";
-    /// Counter: requests served at the exact tier (the full
-    /// column-generation optimum — `Exact` in
-    /// [`vlp_core::QualityTier`]).
-    pub const TIER_EXACT_SERVED: &str = "service.tier.exact.served";
-    /// Counter: requests served at the interval-clustering tier
-    /// (`Clustered`).
-    pub const TIER_CLUSTERED_SERVED: &str = "service.tier.clustered.served";
-    /// Counter: requests served at the graph-Laplace tier (`Laplace` —
-    /// every fallback serve, whatever rung of the resilience ladder
-    /// produced it).
-    pub const TIER_LAPLACE_SERVED: &str = "service.tier.laplace.served";
-    /// Counter: served reports charged against a vehicle's trace
-    /// budget ledger (accounting enabled only).
-    pub const TRACE_CHARGES: &str = "service.trace.charges";
-    /// Counter: charged reports served at a throttled ε — the ledger
-    /// was past the throttle knee, so the grant was shrunk below what
-    /// the raw request would have bucketed to.
-    pub const TRACE_THROTTLED: &str = "service.trace.throttled";
-    /// Counter: reports refused with
-    /// [`Response::BudgetExhausted`](super::Response::BudgetExhausted)
-    /// — the throttled grant fell below one ε-bucket width.
-    pub const TRACE_REFUSALS: &str = "service.trace.refusals";
-    /// Counter: vehicles whose remaining trace budget dropped below
-    /// one ε-bucket width (terminal — every later report refuses);
-    /// counted once per vehicle.
-    pub const TRACE_EXHAUSTED: &str = "service.trace.exhausted";
-    /// Series: mean ledger fill fraction across vehicles with any
-    /// spend, sampled once per epoch while accounting is enabled.
-    pub const TRACE_FILL: &str = "service.trace.fill";
+    pub use vlp_obs::schema::service::*;
 
     /// The per-tier served counter for `tier` — one of the three
-    /// `service.tier.<tier>.served` names above.
+    /// `service.tier.<tier>.served` names.
     pub fn tier_served_metric(tier: vlp_core::QualityTier) -> &'static str {
         use vlp_core::QualityTier;
         match tier {
@@ -260,13 +144,13 @@ pub mod metrics {
     /// `0` closed, `1` half-open, `2` open. Part of the service's
     /// health snapshot in the `vlp-obs` schema.
     pub fn breaker_state_series(s: usize) -> String {
-        format!("service.breaker.state.{s}")
+        format!("{BREAKER_STATE}{s}")
     }
 
     /// Series name sampling shard `s`'s in-flight solve count (queued
     /// plus running) once per epoch.
     pub fn queue_depth_series(s: usize) -> String {
-        format!("service.queue.depth.{s}")
+        format!("{QUEUE_DEPTH}{s}")
     }
 }
 
@@ -1658,7 +1542,7 @@ mod tests {
             let requested = 0.25 + 0.17 * step as f64;
             let canonical = svc.canonical_epsilon(requested);
             assert!(
-                canonical <= requested + 1e-12,
+                canonical <= requested,
                 "canonical ε {canonical} must not exceed requested {requested}"
             );
             let grid = (canonical / width).round();
@@ -1667,6 +1551,14 @@ mod tests {
                 "canonical ε {canonical} must sit on the bucket grid"
             );
         }
+        // A request just below a grid point rounds down past it, never
+        // up onto it.
+        assert_eq!(svc.canonical_epsilon(5.0 - 1e-10), 4.75);
+        let half = grid_service(ServiceConfig {
+            epsilon_bucket: 0.5,
+            ..ServiceConfig::default()
+        });
+        assert_eq!(half.canonical_epsilon(2.4999999999999996), 2.0);
         // Monotonicity makes the rounding safe: a mechanism built at
         // the canonical (smaller) ε still verifies at the requested ε.
         let requested = 5.24;
@@ -1677,6 +1569,23 @@ mod tests {
         for eps in [canonical, requested] {
             let spec = vlp_core::PrivacySpec::full(&inst.aux, eps, f64::INFINITY);
             assert!(privacy::verify(&mechanism, &spec, 1e-6));
+        }
+    }
+
+    /// A grid point keeps its own bucket even where the quotient
+    /// `ε / width` lands just below a whole number (`4.3 / 0.1` is
+    /// `42.99…`), so re-bucketing a canonical ε never moves it.
+    #[test]
+    fn grid_points_keep_their_bucket() {
+        for width in [0.1, 0.25, 0.3] {
+            for n in 1..400 {
+                let point = n as f64 * width;
+                assert_eq!(
+                    core::grid_steps(point, width),
+                    n as f64,
+                    "{point} at width {width}"
+                );
+            }
         }
     }
 
@@ -2232,56 +2141,14 @@ mod tests {
             .all(|o| o.tier == QualityTier::Exact && o.served == Served::Optimal { cached: true }));
     }
 
-    /// Every metric name this module records is registered in
+    /// The names this module formats at run time resolve in
     /// `vlp_obs::schema` — the registry the `docs_links` CI gate
-    /// checks `OPERATIONS.md` against. A new counter that is not added
-    /// to the registry fails here, before it can drift from the docs.
+    /// checks `OPERATIONS.md` against. Its fixed names are declared
+    /// there and re-exported here, so only the formatted ones need a
+    /// check.
     #[test]
     fn every_service_metric_is_in_the_schema_registry() {
         use vlp_obs::schema::is_known_metric;
-        let consts = [
-            metrics::REQUESTS,
-            metrics::BATCH_TIME,
-            metrics::CACHE_HITS,
-            metrics::CACHE_MISSES,
-            metrics::CACHE_EVICTIONS,
-            metrics::OPTIMAL_SERVED,
-            metrics::FALLBACK_SERVED,
-            metrics::SOLVE_TIME,
-            metrics::SOLVE_ERRORS,
-            metrics::OFF_PARTITION,
-            metrics::PRIOR_INVALIDATIONS,
-            metrics::RETRY_ATTEMPTS,
-            metrics::PANICS_CAUGHT,
-            metrics::STALE_SERVED,
-            metrics::STALE_DEMOTIONS,
-            metrics::BREAKER_OPENED,
-            metrics::BREAKER_HALF_OPEN,
-            metrics::BREAKER_RECLOSED,
-            metrics::BREAKER_SHED,
-            metrics::QUEUE_ENQUEUED,
-            metrics::QUEUE_COALESCED,
-            metrics::QUEUE_FULL,
-            metrics::QUEUE_DRAINED,
-            metrics::SHED_REJECTED,
-            metrics::SHED_DEGRADED,
-            metrics::SOLVE_SUPPORT,
-            metrics::SOLVE_LP_VARS,
-            metrics::SOLVE_LP_ROWS,
-            metrics::LOCAL_NEIGHBORHOODS,
-            metrics::LOCAL_SOLVES,
-            metrics::TIER_EXACT_SERVED,
-            metrics::TIER_CLUSTERED_SERVED,
-            metrics::TIER_LAPLACE_SERVED,
-            metrics::TRACE_CHARGES,
-            metrics::TRACE_THROTTLED,
-            metrics::TRACE_REFUSALS,
-            metrics::TRACE_EXHAUSTED,
-            metrics::TRACE_FILL,
-        ];
-        for name in consts {
-            assert!(is_known_metric(name), "unregistered metric `{name}`");
-        }
         for s in 0..4 {
             assert!(is_known_metric(&metrics::breaker_state_series(s)));
             assert!(is_known_metric(&metrics::queue_depth_series(s)));

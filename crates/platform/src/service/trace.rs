@@ -369,15 +369,19 @@ mod tests {
 
     #[test]
     fn grants_pass_through_below_the_knee() {
-        let mut l = ledger(10.0, 0.5);
-        match l.admit(WorkerId(0), 2.0, W) {
-            Admission::Granted { epsilon, throttled } => {
-                assert_eq!(epsilon, 2.0);
-                assert!(!throttled);
+        // (requested, width, granted): a request one ulp below a grid
+        // point is granted the step below it, never the point itself.
+        for (requested, width, granted) in [(2.0, W, 2.0), (2.4999999999999996, 0.5, 2.0)] {
+            let mut l = ledger(10.0, 0.5);
+            match l.admit(WorkerId(0), requested, width) {
+                Admission::Granted { epsilon, throttled } => {
+                    assert_eq!(epsilon, granted, "request {requested}");
+                    assert!(!throttled);
+                }
+                other => panic!("expected a grant, got {other:?}"),
             }
-            other => panic!("expected a grant, got {other:?}"),
+            assert_eq!(l.spent(WorkerId(0)), granted);
         }
-        assert_eq!(l.spent(WorkerId(0)), 2.0);
     }
 
     #[test]

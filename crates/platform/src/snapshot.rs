@@ -9,29 +9,10 @@ use crate::{Task, TaskId, WorkerId};
 /// Telemetry metric names recorded by the assignment snapshot and, for
 /// the distortion, refresh, and re-solve metrics, by the surrounding
 /// [`crate::Simulation`], which alone sees true worker locations and
-/// owns the prior-drift check.
+/// owns the prior-drift check; declared in
+/// [`vlp_obs::schema::platform`].
 pub mod metrics {
-    /// Counter: assignment snapshots served.
-    pub const SNAPSHOTS: &str = "platform.snapshots";
-    /// Timer: wall time of one assignment snapshot (report intake plus
-    /// Hungarian matching) — the per-request report latency.
-    pub const SNAPSHOT_TIME: &str = "platform.snapshot";
-    /// Counter: obfuscated worker reports received across snapshots.
-    pub const REPORTS_RECEIVED: &str = "platform.reports_received";
-    /// Counter: task-worker assignments made.
-    pub const ASSIGNMENTS: &str = "platform.assignments";
-    /// Series: the server's estimated travel distance per assignment,
-    /// km (computed from the *reported* interval).
-    pub const ASSIGNMENT_EST_KM: &str = "platform.assignment_est_km";
-    /// Series: per-assignment distortion `|estimated − true|` travel
-    /// km — recorded by [`crate::Simulation`], which knows true
-    /// locations; the server itself never does.
-    pub const ASSIGNMENT_DISTORTION_KM: &str = "platform.assignment_distortion_km";
-    /// Counter: mechanism refreshes triggered by prior drift.
-    pub const REFRESHES: &str = "platform.refreshes";
-    /// Timer: wall time of one mechanism (re-)solve, including
-    /// constraint reduction and column generation.
-    pub const RESOLVE_TIME: &str = "platform.mechanism_resolve";
+    pub use vlp_obs::schema::platform::*;
 }
 
 /// The outcome of one assignment snapshot.

@@ -18,14 +18,10 @@ use std::collections::BinaryHeap;
 
 use crate::graph::{EdgeId, NodeId, RoadGraph};
 
-/// Telemetry metric names recorded by the shortest-path machinery.
+/// Telemetry metric names recorded by the shortest-path machinery,
+/// declared in [`vlp_obs::schema::roadnet`].
 pub mod metrics {
-    /// Counter: single-source Dijkstra runs (one per tree, ball or
-    /// targeted run, and one per source of an all-pairs build).
-    pub const DIJKSTRA_RUNS: &str = "roadnet.dijkstra.runs";
-    /// Counter: total nodes settled (popped with a final distance)
-    /// across all Dijkstra runs.
-    pub const SETTLED_NODES: &str = "roadnet.dijkstra.settled_nodes";
+    pub use vlp_obs::schema::roadnet::*;
 }
 
 /// Whether a shortest-path tree is rooted as a source or a sink.
